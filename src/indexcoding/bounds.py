@@ -78,12 +78,13 @@ def _string_lex_key(mask: int, n: int) -> int:
     return key
 
 
-def minrank_witness(g: Digraph) -> tuple[int, tuple[int, ...]]:
+def minrank_witness(g: Digraph, known_mais: int | None = None) -> tuple[int, tuple[int, ...]]:
     """(minrank, fitting matrix of that rank) by branch and bound.
 
-    Tries target ranks upward from mais(g); per vertex the candidate rows
-    are e_i plus any subset of the prior set, tried in string-lex order, so
-    the first matrix found is the string-lex smallest one of minimal rank.
+    Tries target ranks upward from mais(g), or from known_mais when the
+    caller already has it; per vertex the candidate rows are e_i plus any
+    subset of the prior set, tried in string-lex order, so the first matrix
+    found is the string-lex smallest one of minimal rank.
     """
     n = g.n
     candidates: list[list[int]] = []
@@ -124,7 +125,9 @@ def minrank_witness(g: Digraph) -> tuple[int, tuple[int, ...]]:
                     return [cand] + tail
         return None
 
-    for target in range(mais(g), n + 1):
+    if known_mais is None:
+        known_mais = mais(g)
+    for target in range(known_mais, n + 1):
         rows = dfs(0, 0, target)
         if rows is not None:
             return target, tuple(rows)

@@ -5,13 +5,16 @@ that receiver i already knows message j, and a mutual arc pair {i->j, j->i}
 is drawn as an edge i-j.  Adjacency lives in per-vertex bitmasks so the
 subset-heavy work (acyclicity sweeps, isomorphism orbits over all vertex
 permutations) stays cheap at the supported sizes: n <= 8 for single-graph
-queries, exhaustive enumeration up to n = 5.
+queries, exhaustive enumeration up to n = 5.  Up to n = 5 an orbit table
+maps every labeled adjacency code to its isomorphism class, so sweeps can
+look classes up instead of canonicalizing graph by graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -22,6 +25,7 @@ MAX_ENUM_VERTICES = 5
 
 _TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$")
 _CHUNK_BITS = 10
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 class GraphFormatError(ValueError):
@@ -308,41 +312,27 @@ def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _perm_chunk_tables(n: int) -> list[list[list[int]]]:
-    """Chunked lookup tables so applying a permutation to an adjacency code
-    costs a couple of table hits instead of a per-bit loop.  n <= 5 keeps the
-    tables small (at most 120 perms x 2 chunks x 1024 entries)."""
+def _perm_chunk_tables(n: int) -> tuple[tuple[array, array], ...]:
+    """Per permutation, a (low, high) pair of lookup tables so relabeling an
+    adjacency code costs two table hits instead of a per-bit loop:
+    low[code & 0x3ff] | high[code >> 10].  n <= 5 means at most 20 code bits,
+    so two 10-bit chunks always cover the code (the high table is [0] when
+    the code has 10 bits or fewer)."""
     if n > MAX_ENUM_VERTICES:
         raise ValueError("chunk tables are built only for enumerable sizes")
     nbits = n * (n - 1)
-    nchunks = (nbits + _CHUNK_BITS - 1) // _CHUNK_BITS if nbits else 0
     tables = []
     for bit_map in _perm_bit_maps(n):
-        per_chunk = []
-        for c in range(nchunks):
-            base = c * _CHUNK_BITS
-            width = min(_CHUNK_BITS, nbits - base)
-            tab = [0] * (1 << width)
-            for value in range(1 << width):
-                out = 0
-                v = value
-                while v:
-                    b = (v & -v).bit_length() - 1
-                    out |= 1 << bit_map[base + b]
-                    v &= v - 1
-                tab[value] = out
-            per_chunk.append(tab)
-        tables.append(per_chunk)
-    return tables
-
-
-def _apply_chunks(code: int, per_chunk: list[list[int]]) -> int:
-    out = 0
-    shift = 0
-    for tab in per_chunk:
-        out |= tab[(code >> shift) & (len(tab) - 1)]
-        shift += _CHUNK_BITS
-    return out
+        pair = []
+        for base in (0, _CHUNK_BITS):
+            width = max(0, min(_CHUNK_BITS, nbits - base))
+            tab = array("I", [0]) * (1 << width)
+            for value in range(1, 1 << width):
+                low = value & -value
+                tab[value] = tab[value ^ low] | 1 << bit_map[base + low.bit_length() - 1]
+            pair.append(tab)
+        tables.append(tuple(pair))
+    return tuple(tables)
 
 
 def _apply_bit_map(code: int, bit_map: tuple[int, ...]) -> int:
@@ -355,38 +345,65 @@ def _apply_bit_map(code: int, bit_map: tuple[int, ...]) -> int:
 
 
 def canonical_key(g: Digraph) -> CanonicalKey:
-    """Minimal adjacency code over all n! relabelings; equal keys <=> isomorphic."""
+    """Minimal adjacency code over all n! relabelings; equal keys <=> isomorphic.
+
+    Computed directly, never through the orbit table: a single query
+    should not pay for the 2^(n(n-1))-entry sweep."""
     code = adjacency_code(g)
-    best = code
     if g.n <= MAX_ENUM_VERTICES:
-        for per_chunk in _perm_chunk_tables(g.n):
-            img = _apply_chunks(code, per_chunk)
-            if img < best:
-                best = img
+        lo, hi = code & _CHUNK_MASK, code >> _CHUNK_BITS
+        best = min(low[lo] | high[hi] for low, high in _perm_chunk_tables(g.n))
     else:
-        for bit_map in _perm_bit_maps(g.n):
-            img = _apply_bit_map(code, bit_map)
-            if img < best:
-                best = img
+        best = min(_apply_bit_map(code, bit_map) for bit_map in _perm_bit_maps(g.n))
     return CanonicalKey(g.n, best)
 
 
-def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
-    """One representative per isomorphism class, ascending canonical key.
+class OrbitTable(NamedTuple):
+    """Isomorphism classes of all labeled digraphs on n <= 5 vertices.
 
-    Sweeps all 2^(n(n-1)) labeled graphs, marking each orbit the first time
-    it is met; the first member seen is the orbit minimum, i.e. the class key.
+    classes[code] is the index of the class of the labeled graph with that
+    adjacency code; reps[index] is the class's canonical key, i.e. the least
+    code in its orbit.  Indices follow ascending canonical key.
     """
+
+    classes: array
+    reps: array
+
+
+_UNSEEN = 0xFFFF
+
+
+@lru_cache(maxsize=None)
+def orbit_table(n: int) -> OrbitTable:
+    """One sweep over all 2^(n(n-1)) labeled codes.  Each code not yet
+    assigned opens a new class (it is the least member of its orbit, since
+    the sweep ascends), and every relabeling of it is stamped with that
+    class's index.  At n = 5 the table is 2^20 16-bit entries (2 MiB) for
+    9608 classes; it is cached, so the enumeration and the checks that look
+    codes up share one build."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
-        raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
+        raise ValueError(f"orbit table supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
     tables = _perm_chunk_tables(n)
     total = 1 << (n * (n - 1))
-    seen = bytearray(total)
+    classes = array("H", [_UNSEEN]) * total
+    reps = array("I")
     for code in range(total):
-        if seen[code]:
+        if classes[code] != _UNSEEN:
             continue
-        for per_chunk in tables:
-            seen[_apply_chunks(code, per_chunk)] = 1
+        index = len(reps)
+        reps.append(code)
+        lo, hi = code & _CHUNK_MASK, code >> _CHUNK_BITS
+        for low, high in tables:
+            classes[low[lo] | high[hi]] = index
+    return OrbitTable(classes, reps)
+
+
+def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
+    """One representative per isomorphism class, ascending canonical key;
+    each representative's adjacency code is its class key."""
+    if not 1 <= n <= MAX_ENUM_VERTICES:
+        raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
+    for code in orbit_table(n).reps:
         yield digraph_from_code(n, code)
 
 
@@ -413,8 +430,9 @@ def embeds_arc_deleted(a: Digraph, b: Digraph) -> bool:
     code_a = adjacency_code(a)
     code_b = adjacency_code(b)
     if a.n <= MAX_ENUM_VERTICES:
-        for per_chunk in _perm_chunk_tables(a.n):
-            if _apply_chunks(code_a, per_chunk) & ~code_b == 0:
+        lo, hi = code_a & _CHUNK_MASK, code_a >> _CHUNK_BITS
+        for low, high in _perm_chunk_tables(a.n):
+            if (low[lo] | high[hi]) & ~code_b == 0:
                 return True
     else:
         for bit_map in _perm_bit_maps(a.n):

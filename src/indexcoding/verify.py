@@ -14,12 +14,11 @@ import multiprocessing
 from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
-from random import Random
 from typing import Iterable, Sequence
 
 from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import code_from_coloring, linear_code_from_matrix, serialize_code
-from indexcoding.confusion import build_confusion, chromatic_number, ell_star, find_coloring
+from indexcoding.confusion import build_confusion, chromatic_number, find_coloring
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
     CanonicalKey,
@@ -28,16 +27,14 @@ from indexcoding.graph import (
     adjacency_code,
     canonical_key,
     categorize,
-    digraph_from_code,
     digraph_from_key,
     embeds_arc_deleted,
     enumerate_nonisomorphic,
+    orbit_table,
     subset_is_acyclic,
 )
 
 REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,chromatic,code"
-
-MONOTONICITY_SAMPLES = 10000
 
 
 class VerificationError(Exception):
@@ -136,7 +133,7 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
-    hi, witness = minrank_witness(g)
+    hi, witness = minrank_witness(g, lo)
     chromatic = 0
     if lo == hi:
         ell = lo
@@ -315,59 +312,32 @@ def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord] | None =
     )
 
 
-def _ell_memo(memo: dict[CanonicalKey, int], g: Digraph) -> int:
-    key = canonical_key(g)
-    value = memo.get(key)
-    if value is None:
-        value = ell_star(g)
-        memo[key] = value
-    return value
-
-
-def _absent_arcs(g: Digraph) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(g.n)
-        for j in range(g.n)
-        if i != j and not g.has_arc(i, j)
-    ]
-
-
-def _with_arc(g: Digraph, i: int, j: int) -> Digraph:
-    rows = list(g.rows)
-    rows[i] |= 1 << j
-    return Digraph(g.n, tuple(rows))
-
-
-def check_monotonicity(n: int, samples: int = MONOTONICITY_SAMPLES, seed: int = 0) -> bool:
+def check_monotonicity(n: int, records: Sequence[VerificationRecord]) -> bool:
     """True iff adding one side-information arc never increases ell_star.
 
-    Exhaustive over every labeled graph and every absent arc for n <= 4;
-    at n = 5 a seeded sample of (graph, arc) pairs keeps the runtime down.
+    Exhaustive: for every order-n class representative and every absent
+    arc, the class of the enlarged graph is looked up in the orbit table
+    and the two ell_star values are read from the sweep records.  Since a
+    relabeling carries (g, i->j) to (rep, pi(i)->pi(j)) and ell_star is a
+    class invariant, this covers every labeled graph and every absent arc.
     """
     if not 2 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"monotonicity check supports 2..{MAX_ENUM_VERTICES} vertices, got {n}")
-    memo: dict[CanonicalKey, int] = {}
-    if n < MAX_ENUM_VERTICES:
-        for code in range(1 << (n * (n - 1))):
-            g = digraph_from_code(n, code)
-            base = _ell_memo(memo, g)
-            for i, j in _absent_arcs(g):
-                if _ell_memo(memo, _with_arc(g, i, j)) > base:
-                    return False
-        return True
-    rng = Random(seed)
-    bits = n * (n - 1)
-    done = 0
-    while done < samples:
-        g = digraph_from_code(n, rng.getrandbits(bits))
-        absent = _absent_arcs(g)
-        if not absent:
-            continue
-        i, j = absent[rng.randrange(len(absent))]
-        if _ell_memo(memo, _with_arc(g, i, j)) > _ell_memo(memo, g):
-            return False
-        done += 1
+    table = orbit_table(n)
+    ell = {r.key.key: r.ell_star for r in records if r.n == n}
+    missing = [code for code in table.reps if code not in ell]
+    if missing:
+        raise ValueError(f"no record for {len(missing)} order-{n} classes, first 0x{missing[0]:x}")
+    by_class = [ell[code] for code in table.reps]
+    classes = table.classes
+    full = (1 << (n * (n - 1))) - 1
+    for rep, base in zip(table.reps, by_class):
+        absent = full & ~rep
+        while absent:
+            bit = absent & -absent
+            absent ^= bit
+            if by_class[classes[rep | bit]] > base:
+                return False
     return True
 
 

@@ -129,7 +129,8 @@ def test_verify_small(capsys):
     assert "classes: 1,3,16" in out
     assert "violations: 0" in out
     assert "check mais >= n-2 squeeze: ok" in out
-    assert "monotonicity (n=3, exhaustive): ok" in out
+    for k in (2, 3):
+        assert f"check monotonicity (n={k}, exhaustive): ok" in out
 
 
 def test_verify_max_n_usage_error(capsys):
@@ -137,6 +138,14 @@ def test_verify_max_n_usage_error(capsys):
         main(["verify", "--max-n", "6"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_jobs_below_one_usage_error(capsys):
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--max-n", "2", "--jobs", jobs])
+        assert err.value.code == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_report_and_determinism(tmp_path, capsys):

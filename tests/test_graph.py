@@ -20,6 +20,7 @@ from indexcoding.graph import (
     enumerate_nonisomorphic,
     induced_subgraph,
     is_acyclic,
+    orbit_table,
     parse_digraph,
     relabel,
     serialize_digraph,
@@ -249,6 +250,54 @@ def test_enumeration_counts_and_canonical_order():
         keys.append(key)
     assert len(keys) == 16
     assert keys == sorted(keys)
+
+
+def test_orbit_table_classes_match_oracle_partition():
+    for n in (1, 2, 3, 4):
+        table = orbit_table(n)
+        assert len(table.classes) == 1 << (n * (n - 1))
+        members: dict[int, set] = {}
+        for code, index in enumerate(table.classes):
+            members.setdefault(index, set()).add(digraph_from_code(n, code).rows)
+        assert sorted(members) == list(range(len(table.reps)))
+        ours = {frozenset(rows) for rows in members.values()}
+        assert ours == {frozenset(cls) for cls in oracles.iso_classes(n)}
+
+
+def _relabel_tables(n, perm):
+    """(low, high) lookup tables mapping an adjacency code to the code of
+    its relabeling by perm, built from single-arc images."""
+    images = [adjacency_code(relabel(digraph_from_code(n, 1 << b), perm)) for b in range(n * (n - 1))]
+    tables = []
+    for base in (0, 10):
+        width = max(0, min(10, n * (n - 1) - base))
+        tab = [0] * (1 << width)
+        for value in range(1, 1 << width):
+            low = value & -value
+            tab[value] = tab[value ^ low] | images[base + low.bit_length() - 1]
+        tables.append(tab)
+    return tables
+
+
+def test_orbit_table_five_vertices_exhaustive():
+    assert [len(orbit_table(n).reps) for n in range(1, 6)] == [1, 3, 16, 218, 9608]
+    table = orbit_table(5)
+    classes = table.classes
+    assert len(classes) == 1 << 20
+    # a transposition and a 5-cycle generate S5, so invariance under both
+    # makes every class index constant on its orbit
+    for perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)):
+        low, high = _relabel_tables(5, perm)
+        for code in range(1 << 20):
+            assert classes[low[code & 0x3FF] | high[code >> 10]] == classes[code]
+    # each stored representative is its own canonical key, so distinct
+    # indices are distinct classes, in ascending key order
+    for index, rep in enumerate(table.reps):
+        assert classes[rep] == index
+        assert canonical_key(digraph_from_code(5, rep)) == CanonicalKey(5, rep)
+    assert list(table.reps) == sorted(table.reps)
+    with pytest.raises(ValueError):
+        orbit_table(6)
 
 
 def test_enumeration_yields_pairwise_nonisomorphic():

@@ -1,10 +1,20 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
+from dataclasses import replace
+
 import pytest
 
 import oracles
 from indexcoding.codec import parse_code
-from indexcoding.graph import CanonicalKey, canonical_key, digraph_from_key, parse_digraph
+from indexcoding.confusion import ell_star
+from indexcoding.graph import (
+    CanonicalKey,
+    Digraph,
+    canonical_key,
+    digraph_from_code,
+    digraph_from_key,
+    parse_digraph,
+)
 from indexcoding.verify import (
     REPORT_HEADER,
     SweepSummary,
@@ -189,14 +199,60 @@ def test_check_lemma_small_orders():
         check_lemma_mais2(0)
 
 
-def test_check_monotonicity_small_and_seeded():
-    assert check_monotonicity(2)
-    assert check_monotonicity(3)
-    assert check_monotonicity(5, samples=200, seed=123)
+def labeled_monotonicity(n):
+    """Reference check over every labeled graph and every absent arc, with
+    ell_star recomputed through the confusion graph (memoized per class).
+    Returns the verdict and the per-class ell_star values it used."""
+    memo = {}
+
+    def ell(g):
+        key = canonical_key(g)
+        if key not in memo:
+            memo[key] = ell_star(g)
+        return memo[key]
+
+    holds = True
+    for code in range(1 << (n * (n - 1))):
+        g = digraph_from_code(n, code)
+        base = ell(g)
+        for i in range(n):
+            for j in range(n):
+                if i != j and not g.has_arc(i, j):
+                    rows = list(g.rows)
+                    rows[i] |= 1 << j
+                    holds = holds and ell(Digraph(n, tuple(rows))) <= base
+    return holds, memo
+
+
+def test_check_monotonicity_exhaustive_from_records(full_records):
+    for n in (2, 3, 4, 5):
+        assert check_monotonicity(n, full_records)
     with pytest.raises(ValueError):
-        check_monotonicity(1)
+        check_monotonicity(1, full_records)
     with pytest.raises(ValueError):
-        check_monotonicity(6)
+        check_monotonicity(6, full_records)
+
+
+def test_check_monotonicity_agrees_with_labeled_reference(full_records):
+    for n in (2, 3, 4):
+        holds, memo = labeled_monotonicity(n)
+        assert holds and check_monotonicity(n, full_records)
+        assert memo == {r.key: r.ell_star for r in full_records if r.n == n}
+
+
+def test_check_monotonicity_catches_a_lowered_record(full_records):
+    empty = CanonicalKey(5, 0)
+    assert next(r for r in full_records if r.key == empty).ell_star == 5
+    lowered = [replace(r, ell_star=1) if r.key == empty else r for r in full_records]
+    assert not check_monotonicity(5, lowered)
+
+
+def test_check_monotonicity_needs_every_class(full_records):
+    pentagon = canonical_key(PENTAGON)
+    with pytest.raises(ValueError):
+        check_monotonicity(5, [r for r in full_records if r.key != pentagon])
+    with pytest.raises(ValueError):
+        check_monotonicity(5, [r for r in full_records if r.n < 5])
 
 
 def test_structural_conditions_preconditions(full_records):
