@@ -1,8 +1,8 @@
 """Command-line front end: analyze, verify, find-code, classify.
 
 Exit codes: 0 success, 1 verification violation (or an invalid produced
-code), 2 usage or parse errors.  Structured (csv) output is stable across
-runs and worker counts so it can be golden-file tested.
+code), 2 usage, parse or file errors.  Structured (csv) output is stable
+across runs and worker counts so it can be golden-file tested.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from indexcoding.bounds import mais
-from indexcoding.codec import LinearCode, parse_code
+from indexcoding.codec import decoder_tables, parse_code
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
     Category,
@@ -23,17 +23,7 @@ from indexcoding.graph import (
     serialize_digraph,
     undirected_girth,
 )
-from indexcoding.verify import (
-    REPORT_HEADER,
-    analyze,
-    check_lemma_mais2,
-    check_monotonicity,
-    check_structural_conditions,
-    run_sweep,
-    summarize,
-    summary_text,
-    write_report,
-)
+from indexcoding.verify import REPORT_HEADER, analyze, summary_text, verify_theorem, write_report
 
 
 def _add_graph_source(sub: argparse.ArgumentParser) -> None:
@@ -104,28 +94,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    records = run_sweep(
-        range(1, args.max_n + 1),
-        jobs=args.jobs,
-        cache_path=args.cache,
-        force=args.force,
+    records, summary, checks = verify_theorem(
+        args.max_n, jobs=args.jobs, cache_path=args.cache, force=args.force
     )
-    summary = summarize(records)
     if args.out:
         write_report(records, args.out)
     print(summary_text(summary), end="")
-    checks = {"mais >= n-2 squeeze": check_lemma_mais2(args.max_n, records)}
-    if args.max_n == 5:
-        checks["structural conditions (n=5, mais=2)"] = check_structural_conditions(
-            [r for r in records if r.n == 5]
-        )
-    for k in range(2, args.max_n + 1):
-        checks[f"monotonicity (n={k}, exhaustive)"] = check_monotonicity(k, records)
-    ok = not summary.violations
     for name, passed in checks.items():
         print(f"check {name}: {'ok' if passed else 'FAIL'}")
-        ok = ok and passed
-    return 0 if ok else 1
+    return 0 if not summary.violations and all(checks.values()) else 1
 
 
 def cmd_find_code(args: argparse.Namespace) -> int:
@@ -135,33 +112,18 @@ def cmd_find_code(args: argparse.Namespace) -> int:
         return 2
     record = analyze(g)
     code = parse_code(record.code, sep=";")
-    valid = code.length == record.ell_star and all(
-        _receiver_decodes(g, code, i) for i in range(g.n)
-    )
+    decodes = [table is not None for table in decoder_tables(g, code)]
+    valid = code.length == record.ell_star and all(decodes)
     if args.format == "csv":
         print(record.code)
         return 0 if valid else 1
     print(f"ell_star: {record.ell_star}")
-    kind = "linear" if isinstance(code, LinearCode) else "general"
-    print(f"code ({kind}, length {code.length}):")
+    print(f"code (linear, length {code.length}):")
     for r, line in enumerate(record.code.split(";")):
-        if isinstance(code, LinearCode):
-            print(f"  bit {r + 1}: {line} = {_linear_row_terms(code.rows[r], g.n)}")
-        else:
-            print(f"  {line}")
-    for i in range(g.n):
-        print(f"receiver {i + 1}: decodes x{i + 1}: {'ok' if _receiver_decodes(g, code, i) else 'FAIL'}")
+        print(f"  bit {r + 1}: {line} = {_linear_row_terms(code.rows[r], g.n)}")
+    for i, ok in enumerate(decodes):
+        print(f"receiver {i + 1}: decodes x{i + 1}: {'ok' if ok else 'FAIL'}")
     return 0 if valid else 1
-
-
-def _receiver_decodes(g: Digraph, code, i: int) -> bool:
-    table: dict[tuple[int, int], int] = {}
-    for x in range(1 << g.n):
-        key = (code.encode(x), x & g.rows[i])
-        bit = x >> i & 1
-        if table.setdefault(key, bit) != bit:
-            return False
-    return True
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -223,10 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

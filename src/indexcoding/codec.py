@@ -108,25 +108,28 @@ def coloring_from_code(code: Code) -> tuple[int, ...]:
     return tuple(code.encode(x) for x in range(1 << code.n_messages))
 
 
-def decoder_tables(g: Digraph, code: Code) -> list[dict[tuple[int, int], int]] | None:
-    """Per-receiver lookup (codeword, priors restriction) -> wanted bit, or
-    None as soon as two message tuples collide for some receiver."""
+def decoder_tables(g: Digraph, code: Code) -> list[dict[int, int] | None]:
+    """Per receiver i, the lookup codeword << n | (x & priors_i) -> x_i, or
+    None where two message tuples x collide for that receiver."""
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
-    tables: list[dict[tuple[int, int], int]] = [{} for _ in range(g.n)]
-    for x in range(1 << g.n):
-        cw = code.encode(x)
-        for i, table in enumerate(tables):
-            key = (cw, x & g.rows[i])
+    n = g.n
+    keys = [code.encode(x) << n | x for x in range(1 << n)]
+    tables: list[dict[int, int] | None] = []
+    for i, priors in enumerate(g.rows):
+        visible = ~((1 << n) - 1) | priors
+        table: dict[int, int] | None = {}
+        for x, key in enumerate(keys):
             bit = x >> i & 1
-            prev = table.setdefault(key, bit)
-            if prev != bit:
-                return None
+            if table.setdefault(key & visible, bit) != bit:
+                table = None
+                break
+        tables.append(table)
     return tables
 
 
 def is_valid_code(g: Digraph, code: Code) -> bool:
-    return decoder_tables(g, code) is not None
+    return all(table is not None for table in decoder_tables(g, code))
 
 
 def serialize_code(code: Code, sep: str = "\n") -> str:

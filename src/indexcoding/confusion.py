@@ -57,29 +57,9 @@ def build_confusion(g: Digraph) -> ConfusionGraph:
     return ConfusionGraph(g.n, diffs, tuple(adj))
 
 
-def _greedy_clique(adj: Sequence[int], nv: int) -> int:
-    """Maximal clique bitmask, grown by highest degree inside the candidate
-    set, lowest index on ties.  Deterministic lower-bound seed."""
-    clique = 0
-    cand = (1 << nv) - 1
-    while cand:
-        best_v = -1
-        best_deg = -1
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (adj[v] & cand).bit_count()
-            if deg > best_deg:
-                best_v, best_deg = v, deg
-        clique |= 1 << best_v
-        cand &= adj[best_v]
-    return clique
-
-
 def _max_clique(adj: Sequence[int], nv: int) -> int:
-    """Maximum clique bitmask by pivoted branch and bound; sharpens the
-    chromatic lower bound enough to skip most colorability proofs."""
+    """Maximum clique bitmask by pivoted branch and bound: the chromatic
+    lower bound, and the precolored seed that breaks color symmetry."""
     best = 0
     stack = [(0, (1 << nv) - 1)]
     while stack:
@@ -107,43 +87,12 @@ def _max_clique(adj: Sequence[int], nv: int) -> int:
     return best
 
 
-def _dsatur_order_and_bound(adj: Sequence[int], nv: int) -> tuple[list[int], int]:
-    """Greedy coloring by descending saturation; returns the visit order and
-    the number of colors used (an upper bound on chi)."""
-    colors = [-1] * nv
-    seen_colors = [0] * nv
-    uncolored = (1 << nv) - 1
-    order = []
-    for _ in range(nv):
-        best_v = -1
-        best_rank = (-1, -1)
-        m = uncolored
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rank = (seen_colors[v].bit_count(), (adj[v] & uncolored).bit_count())
-            if rank > best_rank:
-                best_v, best_rank = v, rank
-        c = 0
-        while seen_colors[best_v] >> c & 1:
-            c += 1
-        colors[best_v] = c
-        order.append(best_v)
-        uncolored ^= 1 << best_v
-        m = adj[best_v] & uncolored
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            seen_colors[w] |= 1 << c
-    return order, max(colors) + 1
-
-
 def _search_coloring(adj: Sequence[int], nv: int, k: int, clique: int | None = None) -> list[int] | None:
     """Exhaustive k-coloring by backtracking, or None.
 
     The next vertex to color is always a most-saturated uncolored one, so
-    dead ends surface early.  Symmetry is broken two ways: a clique (greedy
-    unless a better one is passed in) is preassigned distinct colors, and an
+    dead ends surface early.  Symmetry is broken two ways: a clique (a
+    maximum one unless passed in) is preassigned distinct colors, and an
     uncolored vertex may open at most one fresh color.
     """
     if k <= 0:
@@ -151,7 +100,7 @@ def _search_coloring(adj: Sequence[int], nv: int, k: int, clique: int | None = N
     if k >= nv:
         return list(range(nv))
     if clique is None:
-        clique = _greedy_clique(adj, nv)
+        clique = _max_clique(adj, nv)
     if clique.bit_count() > k:
         return None
     colors = [-1] * nv
@@ -234,13 +183,13 @@ def is_proper_coloring(cg: ConfusionGraph, colors: Sequence[int]) -> bool:
 
 
 def chromatic_number(cg: ConfusionGraph) -> int:
-    nv = cg.size
-    clique = _max_clique(cg.adj, nv)
-    _, ub = _dsatur_order_and_bound(cg.adj, nv)
-    for k in range(clique.bit_count(), ub):
-        if _search_coloring(cg.adj, nv, k, clique) is not None:
-            return k
-    return ub
+    """Least k, counting up from the maximum clique size, for which the
+    exhaustive search finds a k-coloring; k = size always succeeds."""
+    clique = _max_clique(cg.adj, cg.size)
+    k = clique.bit_count()
+    while _search_coloring(cg.adj, cg.size, k, clique) is None:
+        k += 1
+    return k
 
 
 def ell_star(g: Digraph) -> int:

@@ -173,24 +173,6 @@ def serialize_digraph(g: Digraph) -> str:
     return f"n {g.n} ; " + " ".join(tokens)
 
 
-def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
-    """Subgraph on the given vertices (0-based, order preserved)."""
-    vs = list(vertices)
-    if not vs:
-        raise ValueError("empty vertex subset")
-    index = {v: k for k, v in enumerate(vs)}
-    if len(index) != len(vs):
-        raise ValueError("duplicate vertices in subset")
-    rows = []
-    for v in vs:
-        row = 0
-        for w, k in index.items():
-            if v != w and g.has_arc(v, w):
-                row |= 1 << k
-        rows.append(row)
-    return Digraph(len(vs), tuple(rows))
-
-
 def subset_is_acyclic(g: Digraph, mask: int) -> bool:
     """True iff the subgraph induced by the bitmask has no directed cycle."""
     rows = g.rows
@@ -207,11 +189,6 @@ def subset_is_acyclic(g: Digraph, mask: int) -> bool:
         if not removed:
             return False
     return True
-
-
-def is_acyclic(g: Digraph) -> bool:
-    """True iff g has no directed cycle (an edge already makes a 2-cycle)."""
-    return subset_is_acyclic(g, (1 << g.n) - 1)
 
 
 def undirected_girth(g: Digraph) -> int | None:

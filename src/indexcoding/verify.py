@@ -11,14 +11,14 @@ vertices, and the two maximal bound-gap classes.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from indexcoding.bounds import mais, minrank_witness
-from indexcoding.codec import code_from_coloring, linear_code_from_matrix, serialize_code
-from indexcoding.confusion import build_confusion, chromatic_number, find_coloring
+from indexcoding.codec import is_valid_code, linear_code_from_matrix, parse_code, serialize_code
+from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
     CanonicalKey,
@@ -35,14 +35,6 @@ from indexcoding.graph import (
 )
 
 REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,chromatic,code"
-
-
-class VerificationError(Exception):
-    """A sweep found ell_star != minrank; carries the offending summary."""
-
-    def __init__(self, message: str, summary: "SweepSummary"):
-        super().__init__(message)
-        self.summary = summary
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,9 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     Equal bounds settle the length by the sandwich alone.  Otherwise the
     confusion graph is colored exactly and the length is the bit width of
     its chromatic number, recorded alongside.  Beyond five vertices the
-    record is bounds-only: ell_star and gap are left at 0 and the code is
-    the minrank witness, valid but not certified optimal.
+    record is bounds-only: ell_star and gap are left at 0.  The code is
+    always the minrank witness; on n <= 5 the theorem makes it optimal, and
+    a class where it is not shows up as a violation in `summarize`.
     """
     if key is None:
         key = canonical_key(g)
@@ -138,17 +131,10 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     if lo == hi:
         ell = lo
     elif g.n <= MAX_ENUM_VERTICES:
-        cg = build_confusion(g)
-        chromatic = chromatic_number(cg)
+        chromatic = chromatic_number(build_confusion(g))
         ell = (chromatic - 1).bit_length()
     else:
         ell = 0
-    if ell == 0 or ell == hi:
-        code = linear_code_from_matrix(g.n, witness)
-    else:
-        coloring = find_coloring(cg, 1 << ell)
-        assert coloring is not None, "chromatic number certifies 2^ell colors suffice"
-        code = code_from_coloring(g.n, coloring)
     category = 0
     if g.n == 5 and lo == 2:
         category = int(categorize(g))
@@ -162,7 +148,7 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         gap=bool(ell) and ell > lo,
         category=category,
         chromatic=chromatic,
-        code=serialize_code(code, sep=";"),
+        code=serialize_code(linear_code_from_matrix(g.n, witness), sep=";"),
     )
 
 
@@ -170,9 +156,24 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
     return analyze(digraph_from_key(key), key=key)
 
 
+def _certified(record: VerificationRecord) -> bool:
+    """True iff the record's code parses, is minrank bits long and decodes
+    for the class, and its mais matches a fresh computation.  ell_star is
+    not checked here: a disagreement with minrank is reported as a
+    violation, not recomputed away."""
+    try:
+        g = digraph_from_key(record.key)
+        code = parse_code(record.code, sep=";")
+        decodes = code.length == record.minrank and is_valid_code(g, code)
+    except ValueError:
+        return False
+    return decodes and record.mais == mais(g)
+
+
 def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
-    """Record lines keyed by canonical key; later lines win, torn or
-    malformed lines are skipped so a crashed run's cache still loads."""
+    """Record lines keyed by canonical key; later lines win.  Torn,
+    malformed or uncertified lines are skipped, so a crashed run's cache
+    still loads and a stale or edited class is recomputed."""
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
     if not p.exists():
@@ -184,7 +185,8 @@ def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
             record = VerificationRecord.from_line(line)
         except ValueError:
             continue
-        cache[record.key] = record
+        if _certified(record):
+            cache[record.key] = record
     return cache
 
 
@@ -264,47 +266,10 @@ def summarize(records: Sequence[VerificationRecord]) -> SweepSummary:
     )
 
 
-def verify_theorem(
-    max_n: int,
-    jobs: int = 1,
-    cache_path: str | Path | None = None,
-    force: bool = False,
-) -> SweepSummary:
-    """Sweep all orders up to max_n and assert ell_star = minrank per class.
-
-    Returns the summary on success; a violation aborts with the offending
-    canonical keys (it would signal a bug here, the claim itself is proved).
-    """
-    if not 1 <= max_n <= MAX_ENUM_VERTICES:
-        raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
-    records = run_sweep(range(1, max_n + 1), jobs=jobs, cache_path=cache_path, force=force)
-    summary = summarize(records)
-    if summary.violations:
-        keys = ", ".join(k.hex for k in summary.violations)
-        raise VerificationError(f"ell_star != minrank at canonical keys: {keys}", summary)
-    return summary
-
-
-def find_gap_graphs(
-    n: int,
-    records: Sequence[VerificationRecord] | None = None,
-    jobs: int = 1,
-    cache_path: str | Path | None = None,
-) -> list[VerificationRecord]:
-    """All order-n classes whose exact length exceeds the acyclic bound."""
-    if not 1 <= n <= MAX_ENUM_VERTICES:
-        raise ValueError(f"gap search supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
-    if records is None:
-        records = run_sweep([n], jobs=jobs, cache_path=cache_path)
-    return [r for r in records if r.n == n and r.gap]
-
-
-def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord] | None = None) -> bool:
+def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord]) -> bool:
     """True iff every class with mais >= n-2 has ell_star = mais."""
     if not 1 <= max_n <= MAX_ENUM_VERTICES:
         raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
-    if records is None:
-        records = run_sweep(range(1, max_n + 1))
     return all(
         r.ell_star == r.mais
         for r in records
@@ -363,6 +328,31 @@ def check_structural_conditions(records: Sequence[VerificationRecord]) -> bool:
         if r.category in (int(Category.GIRTH_3), int(Category.GIRTH_4)) and r.ell_star != 2:
             return False
     return True
+
+
+def verify_theorem(
+    max_n: int,
+    jobs: int = 1,
+    cache_path: str | Path | None = None,
+    force: bool = False,
+) -> tuple[list[VerificationRecord], SweepSummary, dict[str, bool]]:
+    """Sweep all orders up to max_n and run every named check on the records.
+
+    Returns the records, their summary and the checks by name.  A class with
+    ell_star != minrank does not raise: it is listed in summary.violations
+    (it would signal a bug here, the claim itself is proved).
+    """
+    if not 1 <= max_n <= MAX_ENUM_VERTICES:
+        raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
+    records = run_sweep(range(1, max_n + 1), jobs=jobs, cache_path=cache_path, force=force)
+    checks = {"mais >= n-2 squeeze": check_lemma_mais2(max_n, records)}
+    if max_n == 5:
+        checks["structural conditions (n=5, mais=2)"] = check_structural_conditions(
+            [r for r in records if r.n == 5]
+        )
+    for k in range(2, max_n + 1):
+        checks[f"monotonicity (n={k}, exhaustive)"] = check_monotonicity(k, records)
+    return records, summarize(records), checks
 
 
 def report_text(records: Sequence[VerificationRecord]) -> str:

@@ -1,0 +1,38 @@
+"""The names the benchmark's traced run wraps still exist in the package.
+
+`perfbench/traced.py` swaps each function in its LAYERS table for a timing
+wrapper; a name missing from the package makes that run fail.  The table is
+read from the source, so the benchmark is never imported here.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from indexcoding.verify import check_monotonicity
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def traced_layers():
+    for node in ast.parse(TRACED.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACED.name} defines no LAYERS")
+
+
+def test_traced_layers_name_package_functions():
+    layers = traced_layers()
+    assert layers
+    for module, names in layers.items():
+        home = importlib.import_module(f"indexcoding.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"indexcoding.{module}.{name}"
+
+
+def test_check_monotonicity_takes_n_first():
+    # the traced run labels its spans by order from the first argument
+    assert next(iter(inspect.signature(check_monotonicity).parameters)) == "n"

@@ -1,11 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
+import indexcoding.cli as cli
 from indexcoding.cli import main
 from indexcoding.codec import parse_code
-from indexcoding.graph import parse_digraph
-from indexcoding.verify import REPORT_HEADER, analyze, run_sweep
+from indexcoding.graph import canonical_key, parse_digraph
+from indexcoding.verify import REPORT_HEADER, analyze, report_text, run_sweep
 
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
@@ -59,6 +62,25 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    assert main(["find-code", "--input", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_directory_as_cache_exits_2(tmp_path, capsys):
+    assert main(["verify", "--max-n", "2", "--cache", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"n 3 ; 1-2 \xff\xfe\n")
+    assert main(["classify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_graph_source_is_required_and_exclusive(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analyze"])
@@ -110,6 +132,20 @@ def test_find_code_complete_graph(capsys):
     assert "ell_star: 1" in out
     assert "1111 = x1+x2+x3+x4" in out
     assert out.count(": ok") == 4
+
+
+def test_find_code_human_decodes_once(monkeypatch, capsys):
+    decoder_tables = cli.decoder_tables
+    calls = []
+
+    def counted(g, code):
+        calls.append(g)
+        return decoder_tables(g, code)
+
+    monkeypatch.setattr(cli, "decoder_tables", counted)
+    assert main(["find-code", "--graph", PENTAGON_TEXT]) == 0
+    assert capsys.readouterr().out.count(": ok") == 5
+    assert len(calls) == 1
 
 
 def test_find_code_pentagon_csv(capsys):
@@ -183,3 +219,20 @@ def test_verify_cache_speedup_same_output(tmp_path, capsys):
     assert main(["verify", "--max-n", "3", "--cache", str(cache)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_recomputes_a_lowered_cached_class(tmp_path, capsys, full_records):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("".join(r.to_line() + "\n" for r in full_records))
+    assert main(["verify", "--max-n", "5", "--cache", str(cache)]) == 0
+    clean_out = capsys.readouterr().out
+    pentagon = canonical_key(parse_digraph(PENTAGON_TEXT))
+    cache.write_text("".join(
+        replace(r, minrank=2, ell_star=2, gap=False).to_line() + "\n" if r.key == pentagon
+        else r.to_line() + "\n"
+        for r in full_records
+    ))
+    report = tmp_path / "report.csv"
+    assert main(["verify", "--max-n", "5", "--cache", str(cache), "--out", str(report)]) == 0
+    assert capsys.readouterr().out == clean_out
+    assert report.read_text() == report_text(full_records)

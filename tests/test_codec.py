@@ -88,12 +88,15 @@ def test_decoder_tables_decode_every_tuple():
     for x in range(16):
         cw = code.encode(x)
         for i in range(4):
-            assert tables[i][(cw, x & FIG.rows[i])] == x >> i & 1
+            assert tables[i][cw << 4 | x & FIG.rows[i]] == x >> i & 1
 
 
 def test_decoder_tables_reject_confusable_collisions():
-    # one parity bit cannot serve the pentagon
-    assert decoder_tables(PENTAGON, LinearCode(5, (0b11111,))) is None
+    # one parity bit serves no receiver of the pentagon
+    assert decoder_tables(PENTAGON, LinearCode(5, (0b11111,))) == [None] * 5
+    # sending x1 alone serves receiver 1 only
+    first, second = decoder_tables(parse_digraph("n 2"), LinearCode(2, (0b01,)))
+    assert first == {0b000: 0, 0b100: 1} and second is None
     with pytest.raises(ValueError):
         decoder_tables(FIG, LinearCode(3, (0b111,)))
 

@@ -18,8 +18,6 @@ from indexcoding.graph import (
     digraph_from_key,
     embeds_arc_deleted,
     enumerate_nonisomorphic,
-    induced_subgraph,
-    is_acyclic,
     orbit_table,
     parse_digraph,
     relabel,
@@ -114,34 +112,18 @@ def test_basic_accessors():
     assert Digraph.from_arcs(4, g.arcs()) == g
 
 
-def test_induced_subgraph_matches_oracle():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(2, 6)
-        g = random_digraph(rng, n)
-        size = rng.randint(1, n)
-        subset = tuple(rng.sample(range(n), size))
-        got = induced_subgraph(g, subset)
-        _, want_rows = oracles.induced(n, g.rows, subset)
-        assert got.rows == want_rows
-    with pytest.raises(ValueError):
-        induced_subgraph(parse_digraph("n 3"), [])
-    with pytest.raises(ValueError):
-        induced_subgraph(parse_digraph("n 3"), [0, 0])
-
-
 def test_acyclicity_matches_oracle_exhaustively_small():
     for n in (1, 2, 3):
         for code in range(1 << (n * (n - 1))):
             g = digraph_from_code(n, code)
-            assert is_acyclic(g) == oracles.acyclic(n, g.rows)
+            assert subset_is_acyclic(g, (1 << n) - 1) == oracles.acyclic(n, g.rows)
 
 
 def test_acyclicity_matches_oracle_sampled():
     rng = random.Random(3)
     for _ in range(200):
         g = random_digraph(rng, rng.randint(4, 6))
-        assert is_acyclic(g) == oracles.acyclic(g.n, g.rows)
+        assert subset_is_acyclic(g, (1 << g.n) - 1) == oracles.acyclic(g.n, g.rows)
 
 
 def test_subset_acyclicity_matches_induced_oracle():

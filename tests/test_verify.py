@@ -18,13 +18,11 @@ from indexcoding.graph import (
 from indexcoding.verify import (
     REPORT_HEADER,
     SweepSummary,
-    VerificationError,
     VerificationRecord,
     analyze,
     check_lemma_mais2,
     check_monotonicity,
     check_structural_conditions,
-    find_gap_graphs,
     load_cache,
     maximal_gap_classes,
     read_report,
@@ -142,7 +140,14 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_verify_theorem_small_orders():
-    summary = verify_theorem(3)
+    records, summary, checks = verify_theorem(3)
+    assert records == run_sweep([1, 2, 3])
+    assert list(checks) == [
+        "mais >= n-2 squeeze",
+        "monotonicity (n=2, exhaustive)",
+        "monotonicity (n=3, exhaustive)",
+    ]
+    assert all(checks.values())
     assert summary.class_counts == ((1, 1), (2, 3), (3, 16))
     assert summary.total_classes == 20
     assert summary.gap_count == 0
@@ -153,7 +158,7 @@ def test_verify_theorem_small_orders():
         verify_theorem(6)
 
 
-def test_verify_theorem_aborts_on_poisoned_cache(tmp_path):
+def test_verify_theorem_reports_poisoned_cache(tmp_path):
     cache = tmp_path / "cache.txt"
     records = run_sweep([2])
     bad = [
@@ -162,10 +167,30 @@ def test_verify_theorem_aborts_on_poisoned_cache(tmp_path):
         for r in records
     ]
     cache.write_text("".join(r.to_line() + "\n" for r in bad))
-    with pytest.raises(VerificationError) as err:
-        verify_theorem(2, cache_path=cache)
-    assert "0x3" in str(err.value)
-    assert err.value.summary.violations == (CanonicalKey(2, 3),)
+    _, summary, _ = verify_theorem(2, cache_path=cache)
+    assert summary.violations == (CanonicalKey(2, 3),)
+    assert summary.violations[0].hex == "0x3"
+
+
+def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
+    cache = tmp_path / "cache.txt"
+    good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
+    assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
+    first_two_rows = ";".join(good.code.split(";")[:2])
+    uncertified = [
+        replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
+        replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
+        replace(good, mais=1),  # mais disagrees with a fresh computation
+        replace(good, code="10x01"),  # code does not parse
+        replace(good, code="1000;0100;0010"),  # code for four messages
+    ]
+    for bad in uncertified:
+        cache.write_text(bad.to_line() + "\n")
+        assert load_cache(cache) == {}
+    # ell_star alone is left for the violation check to report
+    for kept in (good, replace(good, ell_star=2, gap=False)):
+        cache.write_text(kept.to_line() + "\n")
+        assert load_cache(cache) == {kept.key: kept}
 
 
 def test_summarize_and_maximal_classes_on_crafted_family():
@@ -184,19 +209,11 @@ def test_summarize_and_maximal_classes_on_crafted_family():
     assert summary.maximal_gap_keys == (empty.key,)
 
 
-def test_find_gap_graphs(full_records):
-    assert find_gap_graphs(4) == []
-    gaps = find_gap_graphs(5, records=full_records)
-    assert gaps and all(r.gap and r.n == 5 for r in gaps)
-    with pytest.raises(ValueError):
-        find_gap_graphs(6)
-
-
 def test_check_lemma_small_orders():
-    assert check_lemma_mais2(3)
-    assert check_lemma_mais2(4)
+    assert check_lemma_mais2(3, run_sweep(range(1, 4)))
+    assert check_lemma_mais2(4, run_sweep(range(1, 5)))
     with pytest.raises(ValueError):
-        check_lemma_mais2(0)
+        check_lemma_mais2(0, [])
 
 
 def labeled_monotonicity(n):
