@@ -104,8 +104,19 @@ def code_from_coloring(n: int, colors: tuple[int, ...] | list[int]) -> GeneralCo
 
 
 def coloring_from_code(code: Code) -> tuple[int, ...]:
-    """Color per message tuple: the codeword itself."""
-    return tuple(code.encode(x) for x in range(1 << code.n_messages))
+    """Color per message tuple: the codeword itself.  A linear code's table
+    is built by doubling: the tuples with message j set are the tuples
+    below 2^j, each codeword XORed with column j of the code."""
+    if isinstance(code, GeneralCode):
+        return code.table
+    cols = [0] * code.n_messages
+    for r, row in enumerate(code.rows):
+        for j in range(code.n_messages):
+            cols[j] |= (row >> j & 1) << r
+    table = [0]
+    for col in cols:
+        table += [cw ^ col for cw in table]
+    return tuple(table)
 
 
 def decoder_tables(g: Digraph, code: Code) -> list[dict[int, int] | None]:
@@ -114,7 +125,7 @@ def decoder_tables(g: Digraph, code: Code) -> list[dict[int, int] | None]:
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
     n = g.n
-    keys = [code.encode(x) << n | x for x in range(1 << n)]
+    keys = [cw << n | x for x, cw in enumerate(coloring_from_code(code))]
     tables: list[dict[int, int] | None] = []
     for i, priors in enumerate(g.rows):
         visible = ~((1 << n) - 1) | priors

@@ -182,11 +182,24 @@ def is_proper_coloring(cg: ConfusionGraph, colors: Sequence[int]) -> bool:
     return True
 
 
+def _independence_number(adj: Sequence[int], nv: int) -> int:
+    """Largest independent set size: a maximum clique of the complement."""
+    full = (1 << nv) - 1
+    return _max_clique([full ^ mask ^ (1 << u) for u, mask in enumerate(adj)], nv).bit_count()
+
+
 def chromatic_number(cg: ConfusionGraph) -> int:
-    """Least k, counting up from the maximum clique size, for which the
-    exhaustive search finds a k-coloring; k = size always succeeds."""
+    """Least k for which the exhaustive search finds a k-coloring, counting
+    up from max(omega, ceil(size / alpha)); k = size always succeeds.
+
+    Every color class is an independent set, so no graph has fewer than
+    size / alpha colors.  On these vertex-transitive graphs that bound is
+    the fractional chromatic number; on the five-vertex gap classes it is
+    7 against a clique of 4, so the walk skips three refutations that
+    cannot succeed.
+    """
     clique = _max_clique(cg.adj, cg.size)
-    k = clique.bit_count()
+    k = max(clique.bit_count(), -(-cg.size // _independence_number(cg.adj, cg.size)))
     while _search_coloring(cg.adj, cg.size, k, clique) is None:
         k += 1
     return k

@@ -10,11 +10,13 @@ vertices, and the two maximal bound-gap classes.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import is_valid_code, linear_code_from_matrix, parse_code, serialize_code
@@ -190,6 +192,25 @@ def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
     return cache
 
 
+def _end_torn_tail(fh: BinaryIO) -> None:
+    """End a cache tail torn by a killed run with a newline, so the next
+    record appended starts a line of its own."""
+    if fh.seek(0, os.SEEK_END):
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            fh.write(b"\n")
+
+
+def _analyze_keys(tasks: Sequence[CanonicalKey], jobs: int) -> Iterator[VerificationRecord]:
+    """Records for the keys in task order, from a process pool when
+    jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(_analyze_key, tasks, chunksize=64)
+    else:
+        yield from map(_analyze_key, tasks)
+
+
 def run_sweep(
     orders: Iterable[int],
     jobs: int = 1,
@@ -197,33 +218,32 @@ def run_sweep(
     force: bool = False,
 ) -> list[VerificationRecord]:
     """Analyze every isomorphism class of the given orders, sorted by
-    canonical key.  Cached keys are reused unless force; fresh records are
-    appended to the cache.  Analysis of distinct graphs is independent, so
-    jobs > 1 fans out over a process pool; the merge order is fixed by the
-    final sort, making reports identical for any worker count."""
-    cached: dict[CanonicalKey, VerificationRecord] = {}
-    if cache_path is not None and not force:
-        cached = load_cache(cache_path)
-    records: list[VerificationRecord] = []
-    tasks: list[CanonicalKey] = []
-    for n in sorted(set(orders)):
-        for g in enumerate_nonisomorphic(n):
-            key = CanonicalKey(n, adjacency_code(g))
-            hit = cached.get(key)
-            if hit is not None:
-                records.append(hit)
-            else:
-                tasks.append(key)
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            fresh = list(pool.imap(_analyze_key, tasks, chunksize=64))
-    else:
-        fresh = [_analyze_key(key) for key in tasks]
-    if cache_path is not None and fresh:
-        with open(cache_path, "a") as fh:
-            for record in fresh:
-                fh.write(record.to_line() + "\n")
-    records.extend(fresh)
+    canonical key.  Cached keys are reused unless force.  The cache is
+    opened before any analysis, so a bad path fails at once, and each fresh
+    record is appended as it arrives, so an interrupted run keeps its work.
+    Analysis of distinct graphs is independent, so jobs > 1 fans out over a
+    process pool; the merge order is fixed by the final sort, making reports
+    identical for any worker count."""
+    with open(cache_path, "a+b") if cache_path is not None else contextlib.nullcontext() as sink:
+        cached: dict[CanonicalKey, VerificationRecord] = {}
+        if sink is not None:
+            _end_torn_tail(sink)
+            if not force:
+                cached = load_cache(cache_path)
+        records: list[VerificationRecord] = []
+        tasks: list[CanonicalKey] = []
+        for n in sorted(set(orders)):
+            for g in enumerate_nonisomorphic(n):
+                key = CanonicalKey(n, adjacency_code(g))
+                hit = cached.get(key)
+                if hit is not None:
+                    records.append(hit)
+                else:
+                    tasks.append(key)
+        for record in _analyze_keys(tasks, jobs):
+            if sink is not None:
+                sink.write(record.to_line().encode() + b"\n")
+            records.append(record)
     records.sort(key=lambda r: r.key)
     return records
 
@@ -362,7 +382,15 @@ def report_text(records: Sequence[VerificationRecord]) -> str:
 
 
 def write_report(records: Sequence[VerificationRecord], path: str | Path) -> None:
-    Path(path).write_text(report_text(records))
+    """Write the report to a temporary file beside the target and rename it
+    over the target, so a failed write leaves any existing report intact."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(report_text(records))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_report(path: str | Path) -> list[VerificationRecord]:

@@ -5,10 +5,11 @@ from dataclasses import replace
 import pytest
 
 import indexcoding.cli as cli
+import indexcoding.verify as verify
 from indexcoding.cli import main
 from indexcoding.codec import parse_code
 from indexcoding.graph import canonical_key, parse_digraph
-from indexcoding.verify import REPORT_HEADER, analyze, report_text, run_sweep
+from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text, run_sweep
 
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
@@ -70,6 +71,17 @@ def test_directory_as_input_exits_2(tmp_path, capsys):
 
 def test_directory_as_cache_exits_2(tmp_path, capsys):
     assert main(["verify", "--max-n", "2", "--cache", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cache_in_missing_directory_exits_2_before_any_analysis(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "analyze", lambda *args, **kwargs: calls.append(args))
+    report = tmp_path / "report.csv"
+    cache = tmp_path / "missing" / "cache.txt"
+    assert main(["verify", "--max-n", "4", "--cache", str(cache), "--out", str(report)]) == 2
+    assert calls == [] and not report.exists()
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
 
@@ -236,3 +248,17 @@ def test_verify_recomputes_a_lowered_cached_class(tmp_path, capsys, full_records
     assert main(["verify", "--max-n", "5", "--cache", str(cache), "--out", str(report)]) == 0
     assert capsys.readouterr().out == clean_out
     assert report.read_text() == report_text(full_records)
+
+
+def test_verify_resumes_from_a_torn_cache(tmp_path, capsys):
+    cache, cold, resumed = tmp_path / "cache.txt", tmp_path / "cold.csv", tmp_path / "resumed.csv"
+    assert main(["verify", "--max-n", "4", "--cache", str(cache), "--out", str(cold)]) == 0
+    cold_out = capsys.readouterr().out
+    text = cache.read_text()
+    # a killed run leaves its last line cut short
+    cache.write_text(text[: text.index("\n", len(text) // 2) - 5])
+    assert main(["verify", "--max-n", "4", "--cache", str(cache), "--out", str(resumed)]) == 0
+    assert capsys.readouterr().out == cold_out
+    assert resumed.read_bytes() == cold.read_bytes()
+    # the torn tail was ended first, so every appended record loads
+    assert len(load_cache(cache)) == 1 + 3 + 16 + 218

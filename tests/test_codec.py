@@ -78,6 +78,13 @@ def test_coloring_from_code_is_the_encode_table():
     assert coloring_from_code(code) == (0, 1, 2, 3)
     lin = LinearCode(2, (0b11,))
     assert coloring_from_code(lin) == (0, 1, 1, 0)
+    # a linear code's table is built by doubling; it must match encode
+    assert coloring_from_code(LinearCode(3, ())) == (0,) * 8
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        lin = LinearCode(n, tuple(rng.getrandbits(n) for _ in range(rng.randint(1, n + 1))))
+        assert coloring_from_code(lin) == tuple(lin.encode(x) for x in range(1 << n))
 
 
 def test_decoder_tables_decode_every_tuple():

@@ -5,8 +5,10 @@ import random
 import pytest
 
 import oracles
+from indexcoding import confusion
 from indexcoding.bounds import mais, minrank
 from indexcoding.confusion import (
+    _independence_number,
     build_confusion,
     chromatic_number,
     confusion_diffs,
@@ -15,7 +17,7 @@ from indexcoding.confusion import (
     is_k_colorable,
     is_proper_coloring,
 )
-from indexcoding.graph import digraph_from_code, enumerate_nonisomorphic, parse_digraph
+from indexcoding.graph import digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
@@ -59,6 +61,36 @@ def test_chromatic_matches_cover_dp_oracle_small():
         for g in enumerate_nonisomorphic(n):
             cg = build_confusion(g)
             assert chromatic_number(cg) == oracles.chromatic_dp(list(cg.adj))
+
+
+def test_independence_number_matches_oracle(gap_records):
+    graphs = [g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)]
+    graphs += [digraph_from_key(r.key) for r in gap_records]
+    for g in graphs:
+        cg = build_confusion(g)
+        assert _independence_number(cg.adj, cg.size) == oracles.independence_number(list(cg.adj))
+
+
+def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatch):
+    search = confusion._search_coloring
+    walks = {}
+
+    def recorded(adj, nv, k, clique=None):
+        walk.append(k)
+        return search(adj, nv, k, clique)
+
+    monkeypatch.setattr(confusion, "_search_coloring", recorded)
+    for r in gap_records:
+        walk = walks[r.key.hex] = []
+        cg = build_confusion(digraph_from_key(r.key))
+        assert chromatic_number(cg) == r.chromatic
+        # the first k tried is ceil(32 / alpha), with alpha from the oracle
+        assert walk[0] == -(-cg.size // oracles.independence_number(list(cg.adj))) == 7
+    assert sorted(r.chromatic for r in gap_records) == [7] * 26 + [8] * 2
+    assert {key: walk for key, walk in walks.items() if walk != [7]} == {
+        "0x355ad": [7, 8],
+        "0x356ac": [7, 8],
+    }
 
 
 def test_k_colorability_brackets_chromatic_number():

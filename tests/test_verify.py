@@ -1,9 +1,11 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import indexcoding.verify as verify
 import oracles
 from indexcoding.codec import parse_code
 from indexcoding.confusion import ell_star
@@ -290,6 +292,40 @@ def test_report_roundtrip(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ValueError):
         read_report(bad)
+
+
+def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.txt"
+    done = []
+    analyze_one = verify.analyze
+
+    def interrupted(g, *, key):
+        if len(done) == 10:
+            raise KeyboardInterrupt
+        done.append(key)
+        return analyze_one(g, key=key)
+
+    monkeypatch.setattr(verify, "analyze", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep([4], cache_path=cache)
+    assert list(load_cache(cache)) == done
+
+
+def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
+    records = run_sweep([2, 3])
+    path = tmp_path / "report.csv"
+    path.write_text("old report\n")
+
+    def torn_write(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        write_report(records, path)
+    assert path.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_summary_text_layout():
