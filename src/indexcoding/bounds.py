@@ -16,17 +16,7 @@ from indexcoding.graph import Digraph, subset_is_acyclic
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of bitmask row vectors."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for vec in rows:
-        while vec:
-            p = vec.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = vec
-                rank += 1
-                break
-            vec ^= pivots[p]
-    return rank
+    return len(gf2_row_basis(rows))
 
 
 def gf2_row_basis(rows: Iterable[int]) -> list[int]:

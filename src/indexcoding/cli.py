@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from indexcoding.bounds import mais
-from indexcoding.codec import decoder_tables, parse_code
+from indexcoding.codec import parse_code, receiver_decodes
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
     Category,
@@ -94,6 +94,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        print(f"error: cannot write the report {args.out}: its directory does not exist", file=sys.stderr)
+        return 2
     records, summary, checks = verify_theorem(
         args.max_n, jobs=args.jobs, cache_path=args.cache, force=args.force
     )
@@ -112,7 +115,7 @@ def cmd_find_code(args: argparse.Namespace) -> int:
         return 2
     record = analyze(g)
     code = parse_code(record.code, sep=";")
-    decodes = [table is not None for table in decoder_tables(g, code)]
+    decodes = receiver_decodes(g, code)
     valid = code.length == record.ell_star and all(decodes)
     if args.format == "csv":
         print(record.code)

@@ -5,15 +5,17 @@ for a side-information graph when every receiver can always recover its
 wanted message from the codeword plus its own priors, i.e. no two tuples
 that agree on receiver i's priors but differ in bit i share a codeword.
 
-Bit strings are written low index first: char j of a mask string is the
-coefficient of message j+1, char r of a codeword string is output bit r.
+Code text is linear only: one row mask string per output bit, written
+low index first, so char j of a row is the coefficient of message j+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from indexcoding.bounds import gf2_row_basis
+from indexcoding.confusion import confounds
 from indexcoding.graph import Digraph
 
 
@@ -119,68 +121,34 @@ def coloring_from_code(code: Code) -> tuple[int, ...]:
     return tuple(table)
 
 
-def decoder_tables(g: Digraph, code: Code) -> list[dict[int, int] | None]:
-    """Per receiver i, the lookup codeword << n | (x & priors_i) -> x_i, or
-    None where two message tuples x collide for that receiver."""
+def receiver_decodes(g: Digraph, code: Code) -> list[bool]:
+    """Per receiver i, whether it always recovers x_i: no collision of the
+    code, x ^ y for distinct tuples x, y sharing a codeword, confounds i.
+    A linear code's collisions are its nonzero kernel."""
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
-    n = g.n
-    keys = [cw << n | x for x, cw in enumerate(coloring_from_code(code))]
-    tables: list[dict[int, int] | None] = []
-    for i, priors in enumerate(g.rows):
-        visible = ~((1 << n) - 1) | priors
-        table: dict[int, int] | None = {}
-        for x, key in enumerate(keys):
-            bit = x >> i & 1
-            if table.setdefault(key & visible, bit) != bit:
-                table = None
-                break
-        tables.append(table)
-    return tables
+    by_codeword: dict[int, list[int]] = {}
+    for x, cw in enumerate(coloring_from_code(code)):
+        by_codeword.setdefault(cw, []).append(x)
+    collisions = {x ^ y for same in by_codeword.values() for x, y in combinations(same, 2)}
+    return [not any(confounds(g, i, z) for z in collisions) for i in range(g.n)]
 
 
 def is_valid_code(g: Digraph, code: Code) -> bool:
-    return all(table is not None for table in decoder_tables(g, code))
+    return all(receiver_decodes(g, code))
 
 
-def serialize_code(code: Code, sep: str = "\n") -> str:
-    """Linear: one row mask string per line.  General: one "tuple codeword"
-    pair per line, covering tuples in ascending order."""
-    if isinstance(code, LinearCode):
-        return sep.join(bits_from_mask(row, code.n_messages) for row in code.rows)
-    lines = []
-    for x in range(1 << code.n_messages):
-        lines.append(f"{bits_from_mask(x, code.n_messages)} {bits_from_mask(code.table[x], code.length)}")
-    return sep.join(lines)
+def serialize_code(code: LinearCode, sep: str = "\n") -> str:
+    """One row mask string per output bit."""
+    return sep.join(bits_from_mask(row, code.n_messages) for row in code.rows)
 
 
-def parse_code(text: str, sep: str = "\n") -> Code:
-    """Inverse of serialize_code; the two forms are told apart by whether
-    lines carry one field or two."""
+def parse_code(text: str, sep: str = "\n") -> LinearCode:
+    """Inverse of serialize_code."""
     lines = [ln.strip() for ln in text.split(sep)]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise CodeFormatError("empty code description")
-    if " " in lines[0]:
-        pairs = []
-        for ln in lines:
-            fields = ln.split()
-            if len(fields) != 2:
-                raise CodeFormatError(f"expected 'tuple codeword', got {ln!r}")
-            pairs.append(fields)
-        n = len(pairs[0][0])
-        length = len(pairs[0][1])
-        if len(pairs) != 1 << n:
-            raise CodeFormatError(f"expected {1 << n} table lines, got {len(pairs)}")
-        table = [-1] * (1 << n)
-        for tup, cw in pairs:
-            if len(tup) != n or len(cw) != length:
-                raise CodeFormatError("inconsistent field widths in code table")
-            x = mask_from_bits(tup)
-            if table[x] >= 0:
-                raise CodeFormatError(f"duplicate table entry for tuple {tup}")
-            table[x] = mask_from_bits(cw)
-        return GeneralCode(n, length, tuple(table))
     n = len(lines[0])
     rows = []
     for ln in lines:

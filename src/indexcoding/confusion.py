@@ -33,16 +33,15 @@ class ConfusionGraph:
         return 1 << self.n_messages
 
 
+def confounds(g: Digraph, i: int, z: int) -> bool:
+    """The zero-error rule: receiver i confuses x and x ^ z iff z flips
+    the message i wants while fixing all of i's priors."""
+    return bool(z >> i & 1) and not z & g.rows[i]
+
+
 def confusion_diffs(g: Digraph) -> tuple[int, ...]:
-    """Nonzero difference patterns z that confound some receiver: z flips
-    the wanted bit of receiver i while fixing all of i's priors."""
-    out = []
-    for z in range(1, 1 << g.n):
-        for i in range(g.n):
-            if z >> i & 1 and z & g.rows[i] == 0:
-                out.append(z)
-                break
-    return tuple(out)
+    """Nonzero difference patterns z that confound some receiver."""
+    return tuple(z for z in range(1, 1 << g.n) if any(confounds(g, i, z) for i in range(g.n)))
 
 
 def build_confusion(g: Digraph) -> ConfusionGraph:
@@ -167,19 +166,6 @@ def find_coloring(cg: ConfusionGraph, k: int) -> tuple[int, ...] | None:
 
 def is_k_colorable(cg: ConfusionGraph, k: int) -> bool:
     return _search_coloring(cg.adj, cg.size, k) is not None
-
-
-def is_proper_coloring(cg: ConfusionGraph, colors: Sequence[int]) -> bool:
-    if len(colors) != cg.size:
-        return False
-    for u in range(cg.size):
-        m = cg.adj[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if v > u and colors[v] == colors[u]:
-                return False
-    return True
 
 
 def _independence_number(adj: Sequence[int], nv: int) -> int:

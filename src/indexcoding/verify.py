@@ -174,18 +174,16 @@ def _certified(record: VerificationRecord) -> bool:
 
 def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
     """Record lines keyed by canonical key; later lines win.  Torn,
-    malformed or uncertified lines are skipped, so a crashed run's cache
-    still loads and a stale or edited class is recomputed."""
+    malformed, non-UTF-8 or uncertified lines are skipped, so a crashed
+    run's cache still loads and a stale or edited class is recomputed."""
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
     if not p.exists():
         return cache
-    for line in p.read_text().splitlines():
-        if not line.strip():
-            continue
+    for raw in p.read_bytes().splitlines():
         try:
-            record = VerificationRecord.from_line(line)
-        except ValueError:
+            record = VerificationRecord.from_line(raw.decode())
+        except ValueError:  # UnicodeDecodeError included
             continue
         if _certified(record):
             cache[record.key] = record

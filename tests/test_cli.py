@@ -86,6 +86,28 @@ def test_cache_in_missing_directory_exits_2_before_any_analysis(tmp_path, capsys
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_out_in_missing_directory_exits_2_before_any_analysis(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "analyze", lambda *args, **kwargs: calls.append(args))
+    report = tmp_path / "missing" / "r.csv"
+    assert main(["verify", "--max-n", "3", "--out", str(report)]) == 2
+    assert calls == [] and not report.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "r.csv" in captured.err and ".tmp" not in captured.err
+
+
+def test_non_utf8_cache_line_is_recomputed(tmp_path, capsys):
+    cache, cold, warm = tmp_path / "cache.txt", tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert main(["verify", "--max-n", "3", "--cache", str(cache), "--out", str(cold)]) == 0
+    cold_out = capsys.readouterr().out
+    with cache.open("ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+    assert main(["verify", "--max-n", "3", "--cache", str(cache), "--out", str(warm)]) == 0
+    assert capsys.readouterr().out == cold_out
+    assert warm.read_bytes() == cold.read_bytes()
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_bytes(b"n 3 ; 1-2 \xff\xfe\n")
@@ -147,14 +169,14 @@ def test_find_code_complete_graph(capsys):
 
 
 def test_find_code_human_decodes_once(monkeypatch, capsys):
-    decoder_tables = cli.decoder_tables
+    receiver_decodes = cli.receiver_decodes
     calls = []
 
     def counted(g, code):
         calls.append(g)
-        return decoder_tables(g, code)
+        return receiver_decodes(g, code)
 
-    monkeypatch.setattr(cli, "decoder_tables", counted)
+    monkeypatch.setattr(cli, "receiver_decodes", counted)
     assert main(["find-code", "--graph", PENTAGON_TEXT]) == 0
     assert capsys.readouterr().out.count(": ok") == 5
     assert len(calls) == 1

@@ -14,11 +14,11 @@ from indexcoding.codec import (
     bits_from_mask,
     code_from_coloring,
     coloring_from_code,
-    decoder_tables,
     is_valid_code,
     linear_code_from_matrix,
     mask_from_bits,
     parse_code,
+    receiver_decodes,
     serialize_code,
 )
 from indexcoding.confusion import build_confusion, find_coloring
@@ -87,33 +87,28 @@ def test_coloring_from_code_is_the_encode_table():
         assert coloring_from_code(lin) == tuple(lin.encode(x) for x in range(1 << n))
 
 
-def test_decoder_tables_decode_every_tuple():
+def test_receiver_decodes_every_tuple():
     rank, rows = minrank_witness(FIG)
     code = linear_code_from_matrix(4, rows)
-    tables = decoder_tables(FIG, code)
-    assert tables is not None
-    for x in range(16):
-        cw = code.encode(x)
-        for i in range(4):
-            assert tables[i][cw << 4 | x & FIG.rows[i]] == x >> i & 1
+    assert receiver_decodes(FIG, code) == [True] * 4
+    assert oracles.decodes(4, FIG.rows, code.encode)
 
 
-def test_decoder_tables_reject_confusable_collisions():
+def test_receiver_decodes_rejects_confusable_collisions():
     # one parity bit serves no receiver of the pentagon
-    assert decoder_tables(PENTAGON, LinearCode(5, (0b11111,))) == [None] * 5
+    assert receiver_decodes(PENTAGON, LinearCode(5, (0b11111,))) == [False] * 5
     # sending x1 alone serves receiver 1 only
-    first, second = decoder_tables(parse_digraph("n 2"), LinearCode(2, (0b01,)))
-    assert first == {0b000: 0, 0b100: 1} and second is None
+    assert receiver_decodes(parse_digraph("n 2"), LinearCode(2, (0b01,))) == [True, False]
     with pytest.raises(ValueError):
-        decoder_tables(FIG, LinearCode(3, (0b111,)))
+        receiver_decodes(FIG, LinearCode(3, (0b111,)))
 
 
 def test_validity_matches_decode_oracle_on_random_codes():
     rng = random.Random(61)
-    for _ in range(80):
-        n = rng.randint(2, 4)
+    for _ in range(200):
+        n = rng.randint(1, 5)
         g = digraph_from_code(n, rng.getrandbits(n * (n - 1)))
-        length = rng.randint(1, n)
+        length = rng.randint(0, n)
         if rng.random() < 0.5:
             code = LinearCode(n, tuple(rng.getrandbits(n) for _ in range(length)))
         else:
@@ -154,14 +149,6 @@ def test_serialize_parse_roundtrip_linear():
     code = LinearCode(4, (0b0111, 0b1110))
     text = serialize_code(code)
     assert text == "1110\n0111"
-    assert parse_code(text) == code
-    assert parse_code(serialize_code(code, sep=";"), sep=";") == code
-
-
-def test_serialize_parse_roundtrip_general():
-    code = GeneralCode(2, 2, (0, 1, 2, 3))
-    text = serialize_code(code)
-    assert text.splitlines()[0] == "00 00"
     assert parse_code(text) == code
     assert parse_code(serialize_code(code, sep=";"), sep=";") == code
 

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from indexcoding import confusion
 from indexcoding.bounds import mais, minrank
+from indexcoding.codec import code_from_coloring, is_valid_code
 from indexcoding.confusion import (
     _independence_number,
     build_confusion,
@@ -15,7 +16,6 @@ from indexcoding.confusion import (
     ell_star,
     find_coloring,
     is_k_colorable,
-    is_proper_coloring,
 )
 from indexcoding.graph import digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
 
@@ -102,7 +102,7 @@ def test_k_colorability_brackets_chromatic_number():
         assert coloring is not None
         assert len(set(coloring)) <= chi
         assert oracles.proper_coloring(list(cg.adj), coloring)
-        assert is_proper_coloring(cg, coloring)
+        assert is_valid_code(g, code_from_coloring(g.n, coloring))
 
 
 def test_k_colorable_edge_cases():
@@ -113,10 +113,11 @@ def test_k_colorable_edge_cases():
 
 
 def test_proper_coloring_rejects_conflicts():
-    cg = build_confusion(parse_digraph("n 2"))
+    g = parse_digraph("n 2")
     # tuples 00 and 01 confound receiver 1, so equal colors must be rejected
-    assert not is_proper_coloring(cg, (0, 0, 1, 2))
-    assert not is_proper_coloring(cg, (0, 1))
+    assert not is_valid_code(g, code_from_coloring(2, (0, 0, 1, 2)))
+    with pytest.raises(ValueError):
+        code_from_coloring(2, (0, 1))
 
 
 def test_pentagon_chromatic_number():

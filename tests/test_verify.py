@@ -1,5 +1,6 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import indexcoding.verify as verify
 import oracles
-from indexcoding.codec import parse_code
+from indexcoding.codec import bits_from_mask, coloring_from_code, parse_code
 from indexcoding.confusion import ell_star
 from indexcoding.graph import (
     CanonicalKey,
@@ -179,12 +180,15 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
     first_two_rows = ";".join(good.code.split(";")[:2])
+    table = coloring_from_code(parse_code(good.code, sep=";"))
+    old_general_form = ";".join(f"{bits_from_mask(x, 5)} {bits_from_mask(cw, 3)}" for x, cw in enumerate(table))
     uncertified = [
         replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
         replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
         replace(good, mais=1),  # mais disagrees with a fresh computation
         replace(good, code="10x01"),  # code does not parse
         replace(good, code="1000;0100;0010"),  # code for four messages
+        replace(good, code=old_general_form),  # "tuple codeword" text, no longer read
     ]
     for bad in uncertified:
         cache.write_text(bad.to_line() + "\n")
@@ -292,6 +296,12 @@ def test_report_roundtrip(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ValueError):
         read_report(bad)
+
+
+def test_full_report_bytes_are_pinned(full_records):
+    # the digest of the five-vertex report the benchmark also checks
+    digest = hashlib.sha256(report_text(full_records).encode()).hexdigest()
+    assert digest == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"
 
 
 def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
