@@ -1,24 +1,15 @@
 """Exact optimal zero-error index codelengths for unicast side-information graphs."""
 
-from indexcoding.bounds import gf2_rank, mais, minrank, minrank_witness
+from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import (
     CodeFormatError,
-    GeneralCode,
     LinearCode,
-    code_from_coloring,
     is_valid_code,
     linear_code_from_matrix,
     parse_code,
     serialize_code,
 )
-from indexcoding.confusion import (
-    ConfusionGraph,
-    build_confusion,
-    chromatic_number,
-    ell_star,
-    find_coloring,
-    is_k_colorable,
-)
+from indexcoding.confusion import ConfusionGraph, build_confusion, chromatic_number
 from indexcoding.graph import (
     CanonicalKey,
     Category,
@@ -41,7 +32,6 @@ from indexcoding.verify import (
     check_structural_conditions,
     load_cache,
     maximal_gap_classes,
-    read_report,
     run_sweep,
     summarize,
     verify_theorem,
@@ -54,7 +44,6 @@ __all__ = [
     "CodeFormatError",
     "ConfusionGraph",
     "Digraph",
-    "GeneralCode",
     "GraphFormatError",
     "LinearCode",
     "SweepSummary",
@@ -67,23 +56,16 @@ __all__ = [
     "check_monotonicity",
     "check_structural_conditions",
     "chromatic_number",
-    "code_from_coloring",
     "digraph_from_key",
-    "ell_star",
     "enumerate_nonisomorphic",
-    "find_coloring",
-    "gf2_rank",
-    "is_k_colorable",
     "is_valid_code",
     "linear_code_from_matrix",
     "load_cache",
     "mais",
     "maximal_gap_classes",
-    "minrank",
     "minrank_witness",
     "parse_code",
     "parse_digraph",
-    "read_report",
     "run_sweep",
     "serialize_code",
     "serialize_digraph",

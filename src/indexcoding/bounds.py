@@ -14,11 +14,6 @@ from typing import Iterable
 from indexcoding.graph import Digraph, subset_is_acyclic
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of bitmask row vectors."""
-    return len(gf2_row_basis(rows))
-
-
 def gf2_row_basis(rows: Iterable[int]) -> list[int]:
     """Greedy independent subset of the rows, kept in input order."""
     pivots: dict[int, int] = {}
@@ -33,20 +28,6 @@ def gf2_row_basis(rows: Iterable[int]) -> list[int]:
                 break
             vec ^= pivots[p]
     return basis
-
-
-def fits(g: Digraph, rows: Iterable[int]) -> bool:
-    """True iff the matrix has an all-ones diagonal and off-diagonal
-    support inside g's arc set."""
-    rows = tuple(rows)
-    if len(rows) != g.n:
-        return False
-    for i, row in enumerate(rows):
-        if not row >> i & 1:
-            return False
-        if (row ^ (1 << i)) & ~g.rows[i]:
-            return False
-    return True
 
 
 def mais(g: Digraph) -> int:
@@ -68,13 +49,13 @@ def _string_lex_key(mask: int, n: int) -> int:
     return key
 
 
-def minrank_witness(g: Digraph, known_mais: int | None = None) -> tuple[int, tuple[int, ...]]:
+def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
     """(minrank, fitting matrix of that rank) by branch and bound.
 
-    Tries target ranks upward from mais(g), or from known_mais when the
-    caller already has it; per vertex the candidate rows are e_i plus any
-    subset of the prior set, tried in string-lex order, so the first matrix
-    found is the string-lex smallest one of minimal rank.
+    Tries target ranks upward from known_mais, the caller's mais(g), below
+    which no fitting matrix has rank; per vertex the candidate rows are e_i
+    plus any subset of the prior set, tried in string-lex order, so the
+    first matrix found is the string-lex smallest one of minimal rank.
     """
     n = g.n
     candidates: list[list[int]] = []
@@ -115,14 +96,8 @@ def minrank_witness(g: Digraph, known_mais: int | None = None) -> tuple[int, tup
                     return [cand] + tail
         return None
 
-    if known_mais is None:
-        known_mais = mais(g)
     for target in range(known_mais, n + 1):
         rows = dfs(0, 0, target)
         if rows is not None:
             return target, tuple(rows)
     raise AssertionError("identity matrix always fits, rank n is reachable")
-
-
-def minrank(g: Digraph) -> int:
-    return minrank_witness(g)[0]

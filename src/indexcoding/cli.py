@@ -94,8 +94,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.out and not Path(args.out).parent.is_dir():
-        print(f"error: cannot write the report {args.out}: its directory does not exist", file=sys.stderr)
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        reason = "it is a directory" if Path(args.out).is_dir() else "its directory does not exist"
+        print(f"error: cannot write the report {args.out}: {reason}", file=sys.stderr)
         return 2
     records, summary, checks = verify_theorem(
         args.max_n, jobs=args.jobs, cache_path=args.cache, force=args.force
@@ -114,7 +115,7 @@ def cmd_find_code(args: argparse.Namespace) -> int:
         print(f"error: exact code search needs n <= {MAX_ENUM_VERTICES}", file=sys.stderr)
         return 2
     record = analyze(g)
-    code = parse_code(record.code, sep=";")
+    code = parse_code(record.code)
     decodes = receiver_decodes(g, code)
     valid = code.length == record.ell_star and all(decodes)
     if args.format == "csv":

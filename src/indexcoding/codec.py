@@ -6,7 +6,9 @@ wanted message from the codeword plus its own priors, i.e. no two tuples
 that agree on receiver i's priors but differ in bit i share a codeword.
 
 Code text is linear only: one row mask string per output bit, written
-low index first, so char j of a row is the coefficient of message j+1.
+low index first, so char j of a row is the coefficient of message j+1,
+and rows joined by ";".  Table codes (GeneralCode, code_from_coloring)
+have no text form; only tests and perfbench/traced.py use them.
 """
 
 from __future__ import annotations
@@ -138,14 +140,14 @@ def is_valid_code(g: Digraph, code: Code) -> bool:
     return all(receiver_decodes(g, code))
 
 
-def serialize_code(code: LinearCode, sep: str = "\n") -> str:
-    """One row mask string per output bit."""
-    return sep.join(bits_from_mask(row, code.n_messages) for row in code.rows)
+def serialize_code(code: LinearCode) -> str:
+    """One row mask string per output bit, joined by ";"."""
+    return ";".join(bits_from_mask(row, code.n_messages) for row in code.rows)
 
 
-def parse_code(text: str, sep: str = "\n") -> LinearCode:
+def parse_code(text: str) -> LinearCode:
     """Inverse of serialize_code."""
-    lines = [ln.strip() for ln in text.split(sep)]
+    lines = [ln.strip() for ln in text.split(";")]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise CodeFormatError("empty code description")

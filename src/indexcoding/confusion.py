@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from indexcoding.bounds import mais, minrank
+from indexcoding.bounds import mais, minrank_witness
 from indexcoding.graph import MAX_ENUM_VERTICES, Digraph
 
 
@@ -159,7 +159,9 @@ def _search_coloring(adj: Sequence[int], nv: int, k: int, clique: int | None = N
 
 
 def find_coloring(cg: ConfusionGraph, k: int) -> tuple[int, ...] | None:
-    """A proper k-coloring as a color-per-tuple vector, or None if chi > k."""
+    """A proper k-coloring as a color-per-tuple vector, or None if chi > k.
+    Only tests and perfbench/traced.py call this and is_k_colorable;
+    the package decides chi through chromatic_number alone."""
     found = _search_coloring(cg.adj, cg.size, k)
     return None if found is None else tuple(found)
 
@@ -192,21 +194,12 @@ def chromatic_number(cg: ConfusionGraph) -> int:
 
 
 def ell_star(g: Digraph) -> int:
-    """Exact optimal zero-error codelength.
-
-    Equal bounds settle it outright.  Otherwise walk candidate lengths L
-    from the acyclic bound up, accepting the first L whose confusion graph
-    is 2^L-colorable; the minrank fallthrough is always achievable because
-    a fitting matrix of that rank is itself a valid linear code.
-    """
+    """Exact optimal zero-error codelength, decided as verify.analyze does:
+    equal bounds settle it outright, otherwise it is the bit width of the
+    confusion graph's chromatic number."""
     lo = mais(g)
-    hi = minrank(g)
-    if lo == hi:
+    if lo == minrank_witness(g, lo)[0]:
         return lo
     if g.n > MAX_ENUM_VERTICES:
         raise ValueError(f"exact codelength between differing bounds needs n <= {MAX_ENUM_VERTICES}")
-    cg = build_confusion(g)
-    for length in range(lo, hi):
-        if is_k_colorable(cg, 1 << length):
-            return length
-    return hi
+    return (chromatic_number(build_confusion(g)) - 1).bit_length()

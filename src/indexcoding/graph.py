@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 MAX_VERTICES = 8
 MAX_ENUM_VERTICES = 5
@@ -55,17 +55,6 @@ class Digraph:
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
 
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-        """Build from 0-based (i, j) arc pairs."""
-        rows = [0] * n
-        for i, j in arcs:
-            rows[i] |= 1 << j
-        return cls(n, tuple(rows))
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return self.rows[i] >> j & 1 == 1
-
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
@@ -82,9 +71,6 @@ class Digraph:
 
     def edge_count(self) -> int:
         return sum(self.edge_row(i).bit_count() for i in range(self.n)) // 2
-
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self.has_arc(i, j)]
 
 
 class CanonicalKey(NamedTuple):
@@ -384,35 +370,18 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
         yield digraph_from_code(n, code)
 
 
-def relabel(g: Digraph, perm: tuple[int, ...]) -> Digraph:
-    """Image of g under the vertex relabeling i -> perm[i]."""
-    rows = [0] * g.n
-    for i in range(g.n):
-        r = g.rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            r &= r - 1
-            rows[perm[i]] |= 1 << perm[j]
-    return Digraph(g.n, tuple(rows))
-
-
 def embeds_arc_deleted(a: Digraph, b: Digraph) -> bool:
     """True iff some relabeling of a has its arc set contained in b's.
 
     That makes a (a relabeling of) an arc-deleted subgraph of b: same
-    vertices, a subset of the arcs.
+    vertices, a subset of the arcs.  Orders above five raise ValueError.
     """
     if a.n != b.n:
         return False
     code_a = adjacency_code(a)
     code_b = adjacency_code(b)
-    if a.n <= MAX_ENUM_VERTICES:
-        lo, hi = code_a & _CHUNK_MASK, code_a >> _CHUNK_BITS
-        for low, high in _perm_chunk_tables(a.n):
-            if (low[lo] | high[hi]) & ~code_b == 0:
-                return True
-    else:
-        for bit_map in _perm_bit_maps(a.n):
-            if _apply_bit_map(code_a, bit_map) & ~code_b == 0:
-                return True
+    lo, hi = code_a & _CHUNK_MASK, code_a >> _CHUNK_BITS
+    for low, high in _perm_chunk_tables(a.n):
+        if (low[lo] | high[hi]) & ~code_b == 0:
+            return True
     return False

@@ -150,7 +150,7 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         gap=bool(ell) and ell > lo,
         category=category,
         chromatic=chromatic,
-        code=serialize_code(linear_code_from_matrix(g.n, witness), sep=";"),
+        code=serialize_code(linear_code_from_matrix(g.n, witness)),
     )
 
 
@@ -159,13 +159,17 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
 
 
 def _certified(record: VerificationRecord) -> bool:
-    """True iff the record's code parses, is minrank bits long and decodes
-    for the class, and its mais matches a fresh computation.  ell_star is
-    not checked here: a disagreement with minrank is reported as a
-    violation, not recomputed away."""
+    """True iff the record's key is the canonical key of a class on 1..5
+    vertices, its code parses, is minrank bits long and decodes for the
+    class, and its mais matches a fresh computation.  ell_star is not
+    checked here: a disagreement with minrank is reported as a violation,
+    not recomputed away."""
     try:
         g = digraph_from_key(record.key)
-        code = parse_code(record.code, sep=";")
+        table = orbit_table(record.n)
+        if table.reps[table.classes[record.key.key]] != record.key.key:
+            return False
+        code = parse_code(record.code)
         decodes = code.length == record.minrank and is_valid_code(g, code)
     except ValueError:
         return False
@@ -389,13 +393,6 @@ def write_report(records: Sequence[VerificationRecord], path: str | Path) -> Non
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def read_report(path: str | Path) -> list[VerificationRecord]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError("missing report header")
-    return [VerificationRecord.from_line(line) for line in lines[1:] if line.strip()]
 
 
 def summary_text(summary: SweepSummary) -> str:

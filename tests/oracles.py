@@ -90,6 +90,21 @@ def string_key(matrix: tuple[int, ...], n: int) -> str:
     )
 
 
+def fits(n: int, rows: tuple[int, ...], matrix: tuple[int, ...]) -> bool:
+    """The matrix has n rows, ones on the diagonal, and an off-diagonal one
+    at (i, j) only where i->j is an arc."""
+    if len(matrix) != n or any(row >> n for row in matrix):
+        return False
+    for i in range(n):
+        for j in range(n):
+            entry = matrix[i] >> j & 1
+            if i == j and not entry:
+                return False
+            if i != j and entry and not rows[i] >> j & 1:
+                return False
+    return True
+
+
 def minrank_value(n: int, rows: tuple[int, ...]) -> int:
     return min(rank_gf2(list(m)) for m in fitting_matrices(n, rows))
 
@@ -105,29 +120,27 @@ def minrank_best(n: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return best[0], best[2]
 
 
+def relabel(n: int, rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Image under the vertex relabeling v -> perm[v]: arc i->j becomes
+    arc perm[i]->perm[j]."""
+    image = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                image[perm[i]] |= 1 << perm[j]
+    return tuple(image)
+
+
 def isomorphic(n: int, rows_a: tuple[int, ...], rows_b: tuple[int, ...]) -> bool:
-    for perm in permutations(range(n)):
-        image = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if rows_a[i] >> j & 1:
-                    image[perm[i]] |= 1 << perm[j]
-        if tuple(image) == rows_b:
-            return True
-    return False
+    return any(relabel(n, rows_a, perm) == rows_b for perm in permutations(range(n)))
 
 
 def embeds(n: int, rows_a: tuple[int, ...], rows_b: tuple[int, ...]) -> bool:
     """Some relabeling of a has its arcs inside b's."""
-    for perm in permutations(range(n)):
-        image = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if rows_a[i] >> j & 1:
-                    image[perm[i]] |= 1 << perm[j]
-        if all(image[i] & ~rows_b[i] == 0 for i in range(n)):
-            return True
-    return False
+    return any(
+        all(row & ~rows_b[i] == 0 for i, row in enumerate(relabel(n, rows_a, perm)))
+        for perm in permutations(range(n))
+    )
 
 
 def iso_classes(n: int) -> list[list[tuple[int, ...]]]:

@@ -140,7 +140,7 @@ def test_criterion_08_codec_soundness(full_records):
     assert len(small) == 238
     for r in small:
         g = digraph_from_key(r.key)
-        code = parse_code(r.code, sep=";")
+        code = parse_code(r.code)
         assert isinstance(code, LinearCode)
         assert code.length == r.minrank == r.ell_star
         assert is_valid_code(g, code)
@@ -176,7 +176,7 @@ def test_criterion_09_spot_values():
         assert all(all_ones[i] >> i & 1 and (all_ones[i] ^ (1 << i)) & ~g.rows[i] == 0 for i in range(n))
         r = analyze(g)
         assert (r.mais, r.minrank, r.ell_star) == (1, 1, 1)
-        assert oracles.decodes(n, g.rows, parse_code(r.code, sep=";").encode)
+        assert oracles.decodes(n, g.rows, parse_code(r.code).encode)
 
     pentagon = parse_digraph(PENTAGON_TEXT)
     assert oracles.mais_order(5, pentagon.rows) == 2
@@ -189,7 +189,7 @@ def test_criterion_09_spot_values():
     adj = oracles.confusion_adjacency(5, pentagon.rows)
     alpha = oracles.independence_number(adj)
     assert -(-32 // alpha) > 4
-    code = parse_code(r.code, sep=";")
+    code = parse_code(r.code)
     assert code.length == 3
     assert oracles.decodes(5, pentagon.rows, code.encode)
 

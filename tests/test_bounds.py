@@ -5,11 +5,19 @@ import random
 import pytest
 
 import oracles
-from indexcoding.bounds import fits, gf2_rank, gf2_row_basis, mais, minrank, minrank_witness
+from indexcoding.bounds import gf2_row_basis, mais, minrank_witness
 from indexcoding.graph import digraph_from_code, enumerate_nonisomorphic, parse_digraph
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
+
+
+def gf2_rank(rows):
+    return len(gf2_row_basis(rows))
+
+
+def minrank(g):
+    return minrank_witness(g, mais(g))[0]
 
 
 def test_gf2_rank_known_values():
@@ -40,14 +48,16 @@ def test_gf2_row_basis_subset_order_and_span():
 
 
 def test_fits():
-    assert fits(FIG, (0b0111, 0b1101 | 0b0010, 0b0111, 0b1001))
+    assert oracles.fits(4, FIG.rows, (0b0111, 0b1101 | 0b0010, 0b0111, 0b1001))
     identity = (0b0001, 0b0010, 0b0100, 0b1000)
-    assert fits(FIG, identity)
-    assert not fits(FIG, identity[:3])
+    assert oracles.fits(4, FIG.rows, identity)
+    assert not oracles.fits(4, FIG.rows, identity[:3])
     # diagonal must be all ones
-    assert not fits(FIG, (0b0110, 0b0010, 0b0100, 0b1000))
+    assert not oracles.fits(4, FIG.rows, (0b0110, 0b0010, 0b0100, 0b1000))
     # off-diagonal support must stay inside the arc set: 1 does not know x4
-    assert not fits(FIG, (0b1001, 0b0010, 0b0100, 0b1000))
+    assert not oracles.fits(4, FIG.rows, (0b1001, 0b0010, 0b0100, 0b1000))
+    # no entries beyond the n columns
+    assert not oracles.fits(4, FIG.rows, (0b10001, 0b0010, 0b0100, 0b1000))
 
 
 def test_mais_matches_oracle_exhaustively_small():
@@ -79,22 +89,22 @@ def test_minrank_matches_enumeration_oracle_all_small_classes():
 def test_minrank_witness_is_string_lex_minimal():
     for n in (2, 3):
         for g in enumerate_nonisomorphic(n):
-            rank, rows = minrank_witness(g)
+            rank, rows = minrank_witness(g, mais(g))
             orank, orows = oracles.minrank_best(n, g.rows)
             assert (rank, rows) == (orank, orows)
     rng = random.Random(37)
     reps = list(enumerate_nonisomorphic(4))
     for g in rng.sample(reps, 40):
-        assert minrank_witness(g) == oracles.minrank_best(4, g.rows)
+        assert minrank_witness(g, mais(g)) == oracles.minrank_best(4, g.rows)
 
 
 def test_minrank_witness_fits_and_has_witnessed_rank():
     rng = random.Random(41)
     for _ in range(40):
         g = digraph_from_code(5, rng.getrandbits(20))
-        rank, rows = minrank_witness(g)
-        assert fits(g, rows)
-        assert gf2_rank(rows) == rank
+        rank, rows = minrank_witness(g, mais(g))
+        assert oracles.fits(5, g.rows, rows)
+        assert oracles.rank_gf2(list(rows)) == rank
         assert mais(g) <= rank <= g.n
 
 
@@ -103,13 +113,13 @@ def test_minrank_spot_values():
     assert minrank(PENTAGON) == oracles.minrank_value(5, PENTAGON.rows) == 3
     k5 = parse_digraph("n 5 ; 1-2 1-3 1-4 1-5 2-3 2-4 2-5 3-4 3-5 4-5")
     # the all-ones matrix fits the complete graph and has rank one
-    assert fits(k5, (0b11111,) * 5)
+    assert oracles.fits(5, k5.rows, (0b11111,) * 5)
     assert oracles.rank_gf2([0b11111] * 5) == 1
     assert minrank(k5) == 1
     assert minrank(parse_digraph("n 5")) == 5
 
 
 def test_fig_witness_rows():
-    rank, rows = minrank_witness(FIG)
+    rank, rows = minrank_witness(FIG, mais(FIG))
     assert rank == 2
     assert rows == (0b0111, 0b1110, 0b0111, 0b1001)

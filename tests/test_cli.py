@@ -97,6 +97,18 @@ def test_out_in_missing_directory_exits_2_before_any_analysis(tmp_path, capsys, 
     assert "r.csv" in captured.err and ".tmp" not in captured.err
 
 
+def test_out_naming_a_directory_exits_2_before_any_analysis(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "analyze", lambda *args, **kwargs: calls.append(args))
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(["verify", "--max-n", "2", "--out", str(target)]) == 2
+    assert calls == [] and target.is_dir() and list(target.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert str(target) in captured.err and ".tmp" not in captured.err
+
+
 def test_non_utf8_cache_line_is_recomputed(tmp_path, capsys):
     cache, cold, warm = tmp_path / "cache.txt", tmp_path / "cold.csv", tmp_path / "warm.csv"
     assert main(["verify", "--max-n", "3", "--cache", str(cache), "--out", str(cold)]) == 0
@@ -184,7 +196,7 @@ def test_find_code_human_decodes_once(monkeypatch, capsys):
 
 def test_find_code_pentagon_csv(capsys):
     assert main(["find-code", "--graph", PENTAGON_TEXT, "--format", "csv"]) == 0
-    code = parse_code(capsys.readouterr().out.strip(), sep=";")
+    code = parse_code(capsys.readouterr().out.strip())
     assert code.length == 3
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
-from indexcoding.bounds import minrank_witness
+from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import (
     CodeFormatError,
     GeneralCode,
@@ -58,7 +58,7 @@ def test_code_validation():
 
 
 def test_linear_code_from_matrix_length_is_rank():
-    rank, rows = minrank_witness(FIG)
+    rank, rows = minrank_witness(FIG, mais(FIG))
     code = linear_code_from_matrix(4, rows)
     assert code.length == rank == 2
     assert all(row in rows for row in code.rows)
@@ -88,7 +88,7 @@ def test_coloring_from_code_is_the_encode_table():
 
 
 def test_receiver_decodes_every_tuple():
-    rank, rows = minrank_witness(FIG)
+    rank, rows = minrank_witness(FIG, mais(FIG))
     code = linear_code_from_matrix(4, rows)
     assert receiver_decodes(FIG, code) == [True] * 4
     assert oracles.decodes(4, FIG.rows, code.encode)
@@ -148,9 +148,10 @@ def test_colorings_convert_to_valid_codes():
 def test_serialize_parse_roundtrip_linear():
     code = LinearCode(4, (0b0111, 0b1110))
     text = serialize_code(code)
-    assert text == "1110\n0111"
+    assert text == "1110;0111"
     assert parse_code(text) == code
-    assert parse_code(serialize_code(code, sep=";"), sep=";") == code
+    # blank rows and surrounding spaces are ignored
+    assert parse_code(" 1110 ;; 0111; ") == code
 
 
 @pytest.mark.parametrize(
@@ -162,6 +163,11 @@ def test_serialize_parse_roundtrip_linear():
         "00 0\n01 0\n10 0\n10 1",
         "00 0 1\n01 0\n10 0\n11 1",
         "00 00\n01 0\n10 0\n11 1",
+        # rows split on ";" only, so newline-joined rows make one bad row
+        "1110\n0111",
+        ";",
+        "01;0",
+        "00 0;01 0;10 0;11 1",
     ],
 )
 def test_parse_code_errors(text):

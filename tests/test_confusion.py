@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from indexcoding import confusion
-from indexcoding.bounds import mais, minrank
+from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import code_from_coloring, is_valid_code
 from indexcoding.confusion import (
     _independence_number,
@@ -18,6 +18,7 @@ from indexcoding.confusion import (
     is_k_colorable,
 )
 from indexcoding.graph import digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
+from indexcoding.verify import analyze
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
@@ -152,7 +153,16 @@ def test_ell_star_stays_inside_sandwich_sampled():
     for _ in range(60):
         g = digraph_from_code(4, rng.getrandbits(12))
         ell = ell_star(g)
-        assert mais(g) <= ell <= minrank(g)
+        assert mais(g) <= ell <= minrank_witness(g, mais(g))[0]
+
+
+def test_ell_star_agrees_with_analyze(full_records):
+    # the sweep's records are analyze's output on each class representative
+    records = [r for r in full_records if r.n <= 4 or r.gap]
+    assert len(records) == 238 + 28
+    for r in records:
+        assert ell_star(digraph_from_key(r.key)) == r.ell_star
+    assert ell_star(PENTAGON) == analyze(PENTAGON).ell_star
 
 
 def test_ell_star_large_orders():

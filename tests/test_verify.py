@@ -13,6 +13,7 @@ from indexcoding.confusion import ell_star
 from indexcoding.graph import (
     CanonicalKey,
     Digraph,
+    adjacency_code,
     canonical_key,
     digraph_from_code,
     digraph_from_key,
@@ -28,7 +29,6 @@ from indexcoding.verify import (
     check_structural_conditions,
     load_cache,
     maximal_gap_classes,
-    read_report,
     report_text,
     run_sweep,
     summarize,
@@ -64,7 +64,7 @@ def test_analyze_pentagon():
     assert r.gap
     assert r.category == 4
     assert r.chromatic == 8
-    code = parse_code(r.code, sep=";")
+    code = parse_code(r.code)
     assert code.length == 3
     assert oracles.decodes(5, PENTAGON.rows, code.encode)
 
@@ -74,7 +74,7 @@ def test_analyze_beyond_exact_range_is_bounds_only():
     r = analyze(g)
     assert r.ell_star == 0 and not r.gap and r.chromatic == 0
     assert r.mais == 3 and r.minrank == 4
-    code = parse_code(r.code, sep=";")
+    code = parse_code(r.code)
     assert code.length == r.minrank
     assert oracles.decodes(6, g.rows, code.encode)
 
@@ -180,8 +180,11 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
     first_two_rows = ";".join(good.code.split(";")[:2])
-    table = coloring_from_code(parse_code(good.code, sep=";"))
+    table = coloring_from_code(parse_code(good.code))
     old_general_form = ";".join(f"{bits_from_mask(x, 5)} {bits_from_mask(cw, 3)}" for x, cw in enumerate(table))
+    moved = Digraph(5, oracles.relabel(5, digraph_from_key(good.key).rows, (1, 0, 2, 3, 4)))
+    assert adjacency_code(moved) != good.key.key
+    hexagon = canonical_key(parse_digraph("n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6"))
     uncertified = [
         replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
         replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
@@ -189,6 +192,9 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         replace(good, code="10x01"),  # code does not parse
         replace(good, code="1000;0100;0010"),  # code for four messages
         replace(good, code=old_general_form),  # "tuple codeword" text, no longer read
+        # right for the relabeled graph, but its key is not a canonical key
+        analyze(moved, key=CanonicalKey(5, adjacency_code(moved))),
+        analyze(digraph_from_key(hexagon), key=hexagon),  # order outside 1..5
     ]
     for bad in uncertified:
         cache.write_text(bad.to_line() + "\n")
@@ -240,7 +246,7 @@ def labeled_monotonicity(n):
         base = ell(g)
         for i in range(n):
             for j in range(n):
-                if i != j and not g.has_arc(i, j):
+                if i != j and not g.rows[i] >> j & 1:
                     rows = list(g.rows)
                     rows[i] |= 1 << j
                     holds = holds and ell(Digraph(n, tuple(rows))) <= base
@@ -291,11 +297,9 @@ def test_report_roundtrip(tmp_path):
     write_report(records, path)
     text = path.read_text()
     assert text.startswith(REPORT_HEADER + "\n")
-    assert read_report(path) == records
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nope\n")
-    with pytest.raises(ValueError):
-        read_report(bad)
+    assert path.read_bytes() == report_text(records).encode()
+    lines = text.splitlines()[1:]
+    assert [VerificationRecord.from_line(line) for line in lines] == records
 
 
 def test_full_report_bytes_are_pinned(full_records):
