@@ -9,6 +9,7 @@ read as XOR masks form a linear code of length equal to its rank.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from indexcoding.graph import Digraph, subset_is_acyclic
@@ -39,14 +40,11 @@ def mais(g: Digraph) -> int:
     return best
 
 
-def _string_lex_key(mask: int, n: int) -> int:
-    """Reorder bits so integer comparison matches left-to-right comparison
-    of the n-char row string whose char j is the coefficient of x_{j+1}."""
-    key = 0
-    for j in range(n):
-        if mask >> j & 1:
-            key |= 1 << (n - 1 - j)
-    return key
+@lru_cache(maxsize=None)
+def _row_string_order(n: int) -> tuple[int, ...]:
+    """All n-bit masks ordered by their row strings, char j being the
+    coefficient of x_{j+1}: the bit-reversals of 0, 1, 2, ..."""
+    return tuple(int(format(k, f"0{n}b")[::-1], 2) for k in range(1 << n))
 
 
 def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
@@ -54,21 +52,14 @@ def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
 
     Tries target ranks upward from known_mais, the caller's mais(g), below
     which no fitting matrix has rank; per vertex the candidate rows are e_i
-    plus any subset of the prior set, tried in string-lex order, so the
+    plus any subset of the prior set, tried in row-string order, so the
     first matrix found is the string-lex smallest one of minimal rank.
     """
     n = g.n
-    candidates: list[list[int]] = []
-    for i in range(n):
-        subs = []
-        sub = g.rows[i]
-        while True:
-            subs.append(sub | (1 << i))
-            if sub == 0:
-                break
-            sub = (sub - 1) & g.rows[i]
-        subs.sort(key=lambda m: _string_lex_key(m, n))
-        candidates.append(subs)
+    candidates = [
+        [m for m in _row_string_order(n) if m >> i & 1 and not m & ~(g.rows[i] | 1 << i)]
+        for i in range(n)
+    ]
 
     pivots: dict[int, int] = {}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from indexcoding.bounds import mais, minrank_witness
-from indexcoding.codec import is_valid_code, linear_code_from_matrix, parse_code, serialize_code
+from indexcoding.codec import LinearCode, is_valid_code, linear_code_from_matrix, parse_code, serialize_code
 from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
@@ -123,23 +123,31 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     its chromatic number, recorded alongside.  Beyond five vertices the
     record is bounds-only: ell_star and gap are left at 0.  The code is
     always the minrank witness; on n <= 5 the theorem makes it optimal, and
-    a class where it is not shows up as a violation in `summarize`.
+    a class where it is not shows up as a violation in `summarize`.  For a
+    g that is not its class representative, the code is the witness in g's
+    own labeling, so the record (the `analyze --format csv` line) is not a
+    cache line, and the cache rejects it.
     """
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
     hi, witness = minrank_witness(g, lo)
     chromatic = 0
-    if lo == hi:
-        ell = lo
-    elif g.n <= MAX_ENUM_VERTICES:
+    if lo != hi and g.n <= MAX_ENUM_VERTICES:
         chromatic = chromatic_number(build_confusion(g))
-        ell = (chromatic - 1).bit_length()
-    else:
-        ell = 0
-    category = 0
-    if g.n == 5 and lo == 2:
-        category = int(categorize(g))
+    return _record(g, key, lo, linear_code_from_matrix(g.n, witness), chromatic)
+
+
+def _record(
+    g: Digraph, key: CanonicalKey, lo: int, code: LinearCode, chromatic: int
+) -> VerificationRecord:
+    """The one derivation of a record from its graph, mais, code and the
+    chromatic number of its confusion graph: minrank is the code's length,
+    and chromatic counts only where the bounds differ on n <= 5."""
+    hi = code.length
+    if lo == hi or g.n > MAX_ENUM_VERTICES:
+        chromatic = 0
+    ell = lo if lo == hi else max(chromatic - 1, 0).bit_length()
     return VerificationRecord(
         key=key,
         arcs=g.arc_count(),
@@ -148,9 +156,9 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         minrank=hi,
         ell_star=ell,
         gap=bool(ell) and ell > lo,
-        category=category,
+        category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
         chromatic=chromatic,
-        code=serialize_code(linear_code_from_matrix(g.n, witness)),
+        code=serialize_code(code),
     )
 
 
@@ -159,27 +167,27 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
 
 
 def _certified(record: VerificationRecord) -> bool:
-    """True iff the record's key is the canonical key of a class on 1..5
-    vertices, its code parses, is minrank bits long and decodes for the
-    class, and its mais matches a fresh computation.  ell_star is not
-    checked here: a disagreement with minrank is reported as a violation,
-    not recomputed away."""
+    """True iff the record's code parses and decodes for its class, and the
+    builder, given the class, a fresh mais, that code and the record's
+    chromatic number, rebuilds the record exactly.  Still trusted: the
+    chromatic number where the bounds differ, and the code's minimality."""
+    g = digraph_from_key(record.key)
     try:
-        g = digraph_from_key(record.key)
-        table = orbit_table(record.n)
-        if table.reps[table.classes[record.key.key]] != record.key.key:
-            return False
         code = parse_code(record.code)
-        decodes = code.length == record.minrank and is_valid_code(g, code)
+        rebuilt = _record(g, record.key, mais(g), code, record.chromatic)
+        return rebuilt == record and is_valid_code(g, code)
     except ValueError:
         return False
-    return decodes and record.mais == mais(g)
 
 
-def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
-    """Record lines keyed by canonical key; later lines win.  Torn,
-    malformed, non-UTF-8 or uncertified lines are skipped, so a crashed
+def load_cache(
+    path: str | Path, keys: Iterable[CanonicalKey]
+) -> dict[CanonicalKey, VerificationRecord]:
+    """Record lines for the given keys, keyed by canonical key; later lines
+    win.  Lines for other keys are skipped without a replay; torn,
+    malformed, non-UTF-8 or uncertified lines are skipped too, so a crashed
     run's cache still loads and a stale or edited class is recomputed."""
+    wanted = set(keys)
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
     if not p.exists():
@@ -189,7 +197,7 @@ def load_cache(path: str | Path) -> dict[CanonicalKey, VerificationRecord]:
             record = VerificationRecord.from_line(raw.decode())
         except ValueError:  # UnicodeDecodeError included
             continue
-        if _certified(record):
+        if record.key in wanted and _certified(record):
             cache[record.key] = record
     return cache
 
@@ -227,21 +235,18 @@ def run_sweep(
     process pool; the merge order is fixed by the final sort, making reports
     identical for any worker count."""
     with open(cache_path, "a+b") if cache_path is not None else contextlib.nullcontext() as sink:
+        keys = [
+            CanonicalKey(n, adjacency_code(g))
+            for n in sorted(set(orders))
+            for g in enumerate_nonisomorphic(n)
+        ]
         cached: dict[CanonicalKey, VerificationRecord] = {}
         if sink is not None:
             _end_torn_tail(sink)
             if not force:
-                cached = load_cache(cache_path)
-        records: list[VerificationRecord] = []
-        tasks: list[CanonicalKey] = []
-        for n in sorted(set(orders)):
-            for g in enumerate_nonisomorphic(n):
-                key = CanonicalKey(n, adjacency_code(g))
-                hit = cached.get(key)
-                if hit is not None:
-                    records.append(hit)
-                else:
-                    tasks.append(key)
+                cached = load_cache(cache_path, keys)
+        records = [cached[key] for key in keys if key in cached]
+        tasks = [key for key in keys if key not in cached]
         for record in _analyze_keys(tasks, jobs):
             if sink is not None:
                 sink.write(record.to_line().encode() + b"\n")

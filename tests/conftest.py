@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
+import indexcoding.verify as verify
+from indexcoding.graph import CanonicalKey
 from indexcoding.verify import run_sweep
 
 
@@ -18,3 +22,16 @@ def n5_records(full_records):
 @pytest.fixture(scope="session")
 def gap_records(full_records):
     return [r for r in full_records if r.gap]
+
+
+@pytest.fixture
+def edge_class_violation(monkeypatch):
+    """analyze claims a wrong optimal length, 2 bits, for the two-vertex
+    edge class 0x3, so the sweep's own record is a violation."""
+    analyze_one = verify.analyze
+
+    def wrong_for_the_edge_class(g, *, key):
+        r = analyze_one(g, key=key)
+        return replace(r, ell_star=2, gap=True) if key == CanonicalKey(2, 3) else r
+
+    monkeypatch.setattr(verify, "analyze", wrong_for_the_edge_class)

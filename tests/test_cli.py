@@ -8,8 +8,8 @@ import indexcoding.cli as cli
 import indexcoding.verify as verify
 from indexcoding.cli import main
 from indexcoding.codec import parse_code
-from indexcoding.graph import canonical_key, parse_digraph
-from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text, run_sweep
+from indexcoding.graph import CanonicalKey, canonical_key, orbit_table, parse_digraph
+from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text
 
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
@@ -239,19 +239,8 @@ def test_verify_report_and_determinism(tmp_path, capsys):
     assert out1.read_text().splitlines()[0] == REPORT_HEADER
 
 
-def test_verify_violation_exits_1(tmp_path, capsys):
+def test_verify_violation_exits_1(tmp_path, capsys, edge_class_violation):
     cache = tmp_path / "cache.txt"
-    records = run_sweep([2])
-    lines = []
-    for r in records:
-        if r.arcs == 2 and r.edges == 1:
-            fields = r.to_line().split(",")
-            fields[6] = "2"  # claim a wrong optimal length for the edge class
-            fields[7] = "1"
-            lines.append(",".join(fields))
-        else:
-            lines.append(r.to_line())
-    cache.write_text("".join(line + "\n" for line in lines))
     assert main(["verify", "--max-n", "2", "--cache", str(cache)]) == 1
     out = capsys.readouterr().out
     assert "violations: 1" in out
@@ -295,4 +284,5 @@ def test_verify_resumes_from_a_torn_cache(tmp_path, capsys):
     assert capsys.readouterr().out == cold_out
     assert resumed.read_bytes() == cold.read_bytes()
     # the torn tail was ended first, so every appended record loads
-    assert len(load_cache(cache)) == 1 + 3 + 16 + 218
+    keys = [CanonicalKey(n, code) for n in range(1, 5) for code in orbit_table(n).reps]
+    assert len(load_cache(cache, keys)) == 1 + 3 + 16 + 218

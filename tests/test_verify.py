@@ -17,6 +17,7 @@ from indexcoding.graph import (
     canonical_key,
     digraph_from_code,
     digraph_from_key,
+    orbit_table,
     parse_digraph,
 )
 from indexcoding.verify import (
@@ -39,6 +40,11 @@ from indexcoding.verify import (
 
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
+
+
+def class_keys(*orders):
+    """The keys a sweep of these orders asks the cache for."""
+    return [CanonicalKey(n, code) for n in orders for code in orbit_table(n).reps]
 
 
 def test_analyze_fig_graph():
@@ -121,7 +127,7 @@ def test_run_sweep_cache_reuse_and_force(tmp_path):
     third = run_sweep([3], cache_path=cache, force=True)
     assert third == first
     assert cache.stat().st_size == 2 * size_after_first  # appended afresh
-    assert load_cache(cache) == {r.key: r for r in first}
+    assert load_cache(cache, class_keys(3)) == {r.key: r for r in first}
 
 
 def test_cache_tolerates_torn_lines(tmp_path):
@@ -161,15 +167,8 @@ def test_verify_theorem_small_orders():
         verify_theorem(6)
 
 
-def test_verify_theorem_reports_poisoned_cache(tmp_path):
+def test_verify_theorem_reports_poisoned_cache(tmp_path, edge_class_violation):
     cache = tmp_path / "cache.txt"
-    records = run_sweep([2])
-    bad = [
-        r if r.arcs != 2 or r.edges != 1 else
-        VerificationRecord(**{**r.__dict__, "ell_star": 2, "gap": True})
-        for r in records
-    ]
-    cache.write_text("".join(r.to_line() + "\n" for r in bad))
     _, summary, _ = verify_theorem(2, cache_path=cache)
     assert summary.violations == (CanonicalKey(2, 3),)
     assert summary.violations[0].hex == "0x3"
@@ -189,6 +188,7 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
         replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
         replace(good, mais=1),  # mais disagrees with a fresh computation
+        replace(good, ell_star=2, gap=False),  # ell_star disagrees with the chromatic number
         replace(good, code="10x01"),  # code does not parse
         replace(good, code="1000;0100;0010"),  # code for four messages
         replace(good, code=old_general_form),  # "tuple codeword" text, no longer read
@@ -196,13 +196,60 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         analyze(moved, key=CanonicalKey(5, adjacency_code(moved))),
         analyze(digraph_from_key(hexagon), key=hexagon),  # order outside 1..5
     ]
+    keys = [r.key for r in full_records]
     for bad in uncertified:
         cache.write_text(bad.to_line() + "\n")
-        assert load_cache(cache) == {}
-    # ell_star alone is left for the violation check to report
-    for kept in (good, replace(good, ell_star=2, gap=False)):
-        cache.write_text(kept.to_line() + "\n")
-        assert load_cache(cache) == {kept.key: kept}
+        assert load_cache(cache, keys) == {}
+    cache.write_text(good.to_line() + "\n")
+    assert load_cache(cache, keys) == {good.key: good}
+
+
+def test_load_cache_drops_tampered_lines(tmp_path):
+    cache = tmp_path / "cache.txt"
+    clean = run_sweep([1, 2, 3], cache_path=cache)
+    clean_lines, clean_report = cache.read_text(), report_text(clean)
+    target = next(r for r in clean if r.key == CanonicalKey(3, 5))
+    assert target.mais == target.minrank and target.chromatic == 0
+    tampered = [
+        replace(target, arcs=target.arcs + 1),
+        replace(target, edges=target.edges + 1),
+        replace(target, category=1),
+        replace(target, gap=not target.gap),
+        replace(target, ell_star=target.ell_star + 1),
+        replace(target, chromatic=9),
+        replace(target, code=" " + target.code.replace(";", " ; ") + " ;"),
+        # a longer code that decodes, with the lengths raised to match
+        replace(target, code="100;010;001", minrank=3, ell_star=3, gap=True),
+    ]
+    for bad in tampered:
+        cache.write_text(clean_lines.replace(target.to_line(), bad.to_line()))
+        assert load_cache(cache, class_keys(1, 2, 3)) == {r.key: r for r in clean if r != target}
+        assert report_text(run_sweep([1, 2, 3], cache_path=cache)) == clean_report
+
+
+def test_load_cache_trusts_a_consistent_chromatic_number(tmp_path, full_records):
+    # the chromatic number where the bounds differ is not replayed on load
+    cache = tmp_path / "cache.txt"
+    good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
+    forged = replace(good, chromatic=4, ell_star=2, gap=False)
+    cache.write_text(forged.to_line() + "\n")
+    assert load_cache(cache, [good.key]) == {good.key: forged}
+    assert summarize([forged]).violations == (good.key,)
+
+
+def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_records):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("".join(r.to_line() + "\n" for r in full_records))
+    replayed = []
+    certified = verify._certified
+
+    def counted(record):
+        replayed.append(record.key)
+        return certified(record)
+
+    monkeypatch.setattr(verify, "_certified", counted)
+    assert run_sweep([3], cache_path=cache) == [r for r in full_records if r.n == 3]
+    assert len(replayed) == 16
 
 
 def test_summarize_and_maximal_classes_on_crafted_family():
@@ -322,7 +369,7 @@ def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "analyze", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep([4], cache_path=cache)
-    assert list(load_cache(cache)) == done
+    assert list(load_cache(cache, class_keys(4))) == done
 
 
 def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
