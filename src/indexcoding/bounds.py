@@ -47,48 +47,56 @@ def _row_string_order(n: int) -> tuple[int, ...]:
     return tuple(int(format(k, f"0{n}b")[::-1], 2) for k in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _candidates(n: int, i: int, allowed: int) -> tuple[int, ...]:
+    """Rows for vertex i: e_i plus any subset of the other allowed
+    columns, in row-string order."""
+    return tuple(m for m in _row_string_order(n) if m >> i & 1 and not m & ~allowed)
+
+
+@lru_cache(maxsize=None)
+def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per n-bit vector c, the masked swaps that move a set of n-bit
+    vectors, held as a 2^n-bit mask, by c: one (1 << j, mask of the
+    vectors with bit j clear) per bit j of c, swapping the two halves."""
+    halves = [(1 << j, sum(1 << v for v in range(1 << n) if not v >> j & 1)) for j in range(n)]
+    return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
+
+
 def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
     """(minrank, fitting matrix of that rank) by branch and bound.
 
     Tries target ranks upward from known_mais, the caller's mais(g), below
     which no fitting matrix has rank; per vertex the candidate rows are e_i
     plus any subset of the prior set, tried in row-string order, so the
-    first matrix found is the string-lex smallest one of minimal rank.
+    first matrix found is the string-lex smallest one of minimal rank.  The
+    span of the rows chosen so far is held as a 2^n-bit set, bit v set iff
+    the vector v lies in it, so membership is one shift and adding a row
+    is a union with the span's translate.
     """
     n = g.n
-    candidates = [
-        [m for m in _row_string_order(n) if m >> i & 1 and not m & ~(g.rows[i] | 1 << i)]
-        for i in range(n)
-    ]
+    candidates = [_candidates(n, i, g.rows[i] | 1 << i) for i in range(n)]
+    moves = _translations(n)
 
-    pivots: dict[int, int] = {}
-
-    def dfs(i: int, rank: int, target: int) -> list[int] | None:
+    def dfs(i: int, span: int, rank: int, target: int) -> list[int] | None:
         if i == n:
             return []
         for cand in candidates[i]:
-            vec = cand
-            while vec:
-                p = vec.bit_length() - 1
-                b = pivots.get(p)
-                if b is None:
-                    break
-                vec ^= b
-            if vec == 0:
-                tail = dfs(i + 1, rank, target)
-                if tail is not None:
-                    return [cand] + tail
+            if span >> cand & 1:
+                tail = dfs(i + 1, span, rank, target)
             elif rank < target:
-                p = vec.bit_length() - 1
-                pivots[p] = vec
-                tail = dfs(i + 1, rank + 1, target)
-                del pivots[p]
-                if tail is not None:
-                    return [cand] + tail
+                moved = span
+                for shift, low in moves[cand]:
+                    moved = (moved & low) << shift | (moved >> shift) & low
+                tail = dfs(i + 1, span | moved, rank + 1, target)
+            else:
+                continue
+            if tail is not None:
+                return [cand] + tail
         return None
 
     for target in range(known_mais, n + 1):
-        rows = dfs(0, 0, target)
+        rows = dfs(0, 1, 0, target)
         if rows is not None:
             return target, tuple(rows)
     raise AssertionError("identity matrix always fits, rank n is reachable")

@@ -176,19 +176,94 @@ def _independence_number(adj: Sequence[int], nv: int) -> int:
     return _max_clique([full ^ mask ^ (1 << u) for u, mask in enumerate(adj)], nv).bit_count()
 
 
+def _maximum_independent_sets(adj: Sequence[int], nv: int, alpha: int) -> tuple[int, ...]:
+    """Every independent set of size alpha, as bitmasks, each found once:
+    a set grows only by vertices above the last one added."""
+    found = []
+    stack = [(0, (1 << nv) - 1)]
+    while stack:
+        cur, cand = stack.pop()
+        if cur.bit_count() == alpha:
+            found.append(cur)
+            continue
+        if cur.bit_count() + cand.bit_count() < alpha:
+            continue
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            stack.append((cur | (1 << v), cand & ~adj[v]))
+    return tuple(found)
+
+
+def _induced(adj: Sequence[int], keep: int) -> list[int]:
+    """Adjacency of the subgraph induced on the vertex mask keep, its
+    vertices renumbered in increasing order."""
+    verts = []
+    m = keep
+    while m:
+        verts.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    pos = {v: i for i, v in enumerate(verts)}
+    sub = []
+    for v in verts:
+        row = 0
+        m = adj[v] & keep
+        while m:
+            row |= 1 << pos[(m & -m).bit_length() - 1]
+            m &= m - 1
+        sub.append(row)
+    return sub
+
+
+def _k_colorable(
+    adj: Sequence[int], nv: int, k: int, clique: int, alpha: int, maximum_sets: Sequence[int]
+) -> bool:
+    """Exact k-colorability, packing maximum color classes first.
+
+    A k-coloring leaves slack alpha * k - nv, the sum of alpha - |class|
+    over its k classes, so at most slack classes fall short of alpha and
+    at least k - slack are pairwise disjoint maximum independent sets.
+    When k - slack >= 1 the graph is therefore k-colorable iff some
+    packing of k - slack disjoint maximum independent sets leaves a
+    remainder that the exhaustive search colors with slack colors.
+    """
+    slack = alpha * k - nv
+    if slack < 0:
+        return False
+    need = k - slack
+    if need <= 0:
+        return _search_coloring(adj, nv, k, clique) is not None
+    full = (1 << nv) - 1
+
+    def pack(start: int, used: int, left: int) -> bool:
+        if left == 0:
+            rest = full & ~used
+            return _search_coloring(_induced(adj, rest), rest.bit_count(), slack) is not None
+        for index in range(start, len(maximum_sets) - left + 1):
+            s = maximum_sets[index]
+            if not s & used and pack(index + 1, used | s, left - 1):
+                return True
+        return False
+
+    return pack(0, 0, need)
+
+
 def chromatic_number(cg: ConfusionGraph) -> int:
-    """Least k for which the exhaustive search finds a k-coloring, counting
-    up from max(omega, ceil(size / alpha)); k = size always succeeds.
+    """Least k for which the graph is k-colorable, counting up from
+    max(omega, ceil(size / alpha)); k = size always succeeds.
 
     Every color class is an independent set, so no graph has fewer than
     size / alpha colors.  On these vertex-transitive graphs that bound is
     the fractional chromatic number; on the five-vertex gap classes it is
     7 against a clique of 4, so the walk skips three refutations that
-    cannot succeed.
+    cannot succeed.  Each k is decided by _k_colorable over the maximum
+    independent sets, enumerated once.
     """
     clique = _max_clique(cg.adj, cg.size)
-    k = max(clique.bit_count(), -(-cg.size // _independence_number(cg.adj, cg.size)))
-    while _search_coloring(cg.adj, cg.size, k, clique) is None:
+    alpha = _independence_number(cg.adj, cg.size)
+    maximum_sets = _maximum_independent_sets(cg.adj, cg.size, alpha)
+    k = max(clique.bit_count(), -(-cg.size // alpha))
+    while not _k_colorable(cg.adj, cg.size, k, clique, alpha, maximum_sets):
         k += 1
     return k
 

@@ -131,22 +131,18 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
-    hi, witness = minrank_witness(g, lo)
+    witness = minrank_witness(g, lo)[1]
+    return _record(g, key, lo, linear_code_from_matrix(g.n, witness))
+
+
+def _record(g: Digraph, key: CanonicalKey, lo: int, code: LinearCode) -> VerificationRecord:
+    """The one derivation of a record from its graph, mais and code:
+    minrank is the code's length, and where the bounds differ on n <= 5
+    the confusion graph is colored exactly for the chromatic number."""
+    hi = code.length
     chromatic = 0
     if lo != hi and g.n <= MAX_ENUM_VERTICES:
         chromatic = chromatic_number(build_confusion(g))
-    return _record(g, key, lo, linear_code_from_matrix(g.n, witness), chromatic)
-
-
-def _record(
-    g: Digraph, key: CanonicalKey, lo: int, code: LinearCode, chromatic: int
-) -> VerificationRecord:
-    """The one derivation of a record from its graph, mais, code and the
-    chromatic number of its confusion graph: minrank is the code's length,
-    and chromatic counts only where the bounds differ on n <= 5."""
-    hi = code.length
-    if lo == hi or g.n > MAX_ENUM_VERTICES:
-        chromatic = 0
     ell = lo if lo == hi else max(chromatic - 1, 0).bit_length()
     return VerificationRecord(
         key=key,
@@ -168,13 +164,13 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
 
 def _certified(record: VerificationRecord) -> bool:
     """True iff the record's code parses and decodes for its class, and the
-    builder, given the class, a fresh mais, that code and the record's
-    chromatic number, rebuilds the record exactly.  Still trusted: the
-    chromatic number where the bounds differ, and the code's minimality."""
+    builder, given the class, a fresh mais and that code, rebuilds the
+    record exactly, chromatic number included.  Still trusted: the code's
+    minimality."""
     g = digraph_from_key(record.key)
     try:
         code = parse_code(record.code)
-        rebuilt = _record(g, record.key, mais(g), code, record.chromatic)
+        rebuilt = _record(g, record.key, mais(g), code)
         return rebuilt == record and is_valid_code(g, code)
     except ValueError:
         return False
@@ -184,9 +180,10 @@ def load_cache(
     path: str | Path, keys: Iterable[CanonicalKey]
 ) -> dict[CanonicalKey, VerificationRecord]:
     """Record lines for the given keys, keyed by canonical key; later lines
-    win.  Lines for other keys are skipped without a replay; torn,
-    malformed, non-UTF-8 or uncertified lines are skipped too, so a crashed
-    run's cache still loads and a stale or edited class is recomputed."""
+    win.  Lines for other keys, and lines equal to the record already kept
+    for their key, are skipped without a replay; torn, malformed, non-UTF-8
+    or uncertified lines are skipped too, so a crashed run's cache still
+    loads and a stale or edited class is recomputed."""
     wanted = set(keys)
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
@@ -197,7 +194,7 @@ def load_cache(
             record = VerificationRecord.from_line(raw.decode())
         except ValueError:  # UnicodeDecodeError included
             continue
-        if record.key in wanted and _certified(record):
+        if record.key in wanted and cache.get(record.key) != record and _certified(record):
             cache[record.key] = record
     return cache
 

@@ -3,9 +3,11 @@
 Everything here recomputes quantities from first principles with plain
 exhaustive algorithms and deliberately shares no logic with the package:
 acyclicity via topological orders, mais via subset enumeration, minrank
-via full fitting-matrix enumeration, isomorphism via permutation search,
-confusability straight from the decoding definition, chromatic numbers
-via independent-set cover DP, and alpha via naive recursion.
+via full fitting-matrix enumeration (and, as the reference for the minrank
+search, a pivot-dict branch and bound), isomorphism via
+permutation search, confusability straight from the decoding definition,
+chromatic numbers via independent-set cover DP, and alpha via naive
+recursion.
 
 Graphs are passed as (n, rows) with bit j of rows[i] meaning arc i->j.
 """
@@ -118,6 +120,47 @@ def minrank_best(n: int, rows: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         if best is None or entry[:2] < best[:2]:
             best = entry
     return best[0], best[2]
+
+
+def minrank_witness_pivots(n: int, rows: tuple[int, ...], known_mais: int) -> tuple[int, tuple[int, ...]]:
+    """The reference for bounds.minrank_witness, the same branch and bound
+    with the span of the rows chosen so far kept as a dict of reduced
+    vectors by leading bit, each candidate row reduced against it.  Per
+    vertex the rows e_i plus any subset of its arcs are tried in row-string
+    order, target ranks upward from known_mais."""
+    order = [int(format(k, f"0{n}b")[::-1], 2) for k in range(1 << n)]
+    candidates = [[m for m in order if m >> i & 1 and not m & ~(rows[i] | 1 << i)] for i in range(n)]
+    pivots: dict[int, int] = {}
+
+    def dfs(i: int, rank: int, target: int):
+        if i == n:
+            return []
+        for cand in candidates[i]:
+            vec = cand
+            while vec:
+                p = vec.bit_length() - 1
+                b = pivots.get(p)
+                if b is None:
+                    break
+                vec ^= b
+            if vec == 0:
+                tail = dfs(i + 1, rank, target)
+                if tail is not None:
+                    return [cand] + tail
+            elif rank < target:
+                p = vec.bit_length() - 1
+                pivots[p] = vec
+                tail = dfs(i + 1, rank + 1, target)
+                del pivots[p]
+                if tail is not None:
+                    return [cand] + tail
+        return None
+
+    for target in range(known_mais, n + 1):
+        found = dfs(0, 0, target)
+        if found is not None:
+            return target, tuple(found)
+    raise AssertionError("identity matrix always fits, rank n is reachable")
 
 
 def relabel(n: int, rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:

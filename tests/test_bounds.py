@@ -98,6 +98,17 @@ def test_minrank_witness_is_string_lex_minimal():
         assert minrank_witness(g, mais(g)) == oracles.minrank_best(4, g.rows)
 
 
+def test_minrank_witness_matches_pivot_reference():
+    # every labeled graph up to four vertices, then seeded five-vertex ones
+    graphs = [digraph_from_code(n, code) for n in (1, 2, 3, 4) for code in range(1 << (n * (n - 1)))]
+    assert len(graphs) == 4165
+    rng = random.Random(53)
+    graphs += [digraph_from_code(5, rng.getrandbits(20)) for _ in range(1000)]
+    for g in graphs:
+        lo = mais(g)
+        assert minrank_witness(g, lo) == oracles.minrank_witness_pivots(g.n, g.rows, lo)
+
+
 def test_minrank_witness_fits_and_has_witnessed_rank():
     rng = random.Random(41)
     for _ in range(40):

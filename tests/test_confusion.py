@@ -1,5 +1,6 @@
 """Confusion graph construction, exact coloring, exact codelength."""
 
+import itertools
 import random
 
 import pytest
@@ -73,14 +74,14 @@ def test_independence_number_matches_oracle(gap_records):
 
 
 def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatch):
-    search = confusion._search_coloring
+    decide = confusion._k_colorable
     walks = {}
 
-    def recorded(adj, nv, k, clique=None):
+    def recorded(adj, nv, k, clique, alpha, maximum_sets):
         walk.append(k)
-        return search(adj, nv, k, clique)
+        return decide(adj, nv, k, clique, alpha, maximum_sets)
 
-    monkeypatch.setattr(confusion, "_search_coloring", recorded)
+    monkeypatch.setattr(confusion, "_k_colorable", recorded)
     for r in gap_records:
         walk = walks[r.key.hex] = []
         cg = build_confusion(digraph_from_key(r.key))
@@ -92,6 +93,34 @@ def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatc
         "0x355ad": [7, 8],
         "0x356ac": [7, 8],
     }
+
+
+def test_maximum_independent_sets_match_brute_force():
+    for g in enumerate_nonisomorphic(3):
+        cg = build_confusion(g)
+        alpha = oracles.independence_number(list(cg.adj))
+        expected = {
+            sum(1 << v for v in subset)
+            for subset in itertools.combinations(range(cg.size), alpha)
+            if all(not cg.adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2))
+        }
+        found = confusion._maximum_independent_sets(cg.adj, cg.size, alpha)
+        assert len(found) == len(expected) and set(found) == expected
+
+
+def test_packing_decision_agrees_with_the_plain_search(gap_records):
+    graphs = [g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)]
+    assert len(graphs) == 238
+    graphs += [digraph_from_key(r.key) for r in gap_records]
+    for g in graphs:
+        cg = build_confusion(g)
+        clique = confusion._max_clique(cg.adj, cg.size)
+        alpha = _independence_number(cg.adj, cg.size)
+        sets = confusion._maximum_independent_sets(cg.adj, cg.size, alpha)
+        chi = chromatic_number(cg)
+        for k in (chi - 1, chi):
+            plain = confusion._search_coloring(cg.adj, cg.size, k) is not None
+            assert confusion._k_colorable(cg.adj, cg.size, k, clique, alpha, sets) == plain == (k == chi)
 
 
 def test_k_colorability_brackets_chromatic_number():

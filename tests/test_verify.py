@@ -227,19 +227,40 @@ def test_load_cache_drops_tampered_lines(tmp_path):
         assert report_text(run_sweep([1, 2, 3], cache_path=cache)) == clean_report
 
 
-def test_load_cache_trusts_a_consistent_chromatic_number(tmp_path, full_records):
-    # the chromatic number where the bounds differ is not replayed on load
+def test_load_cache_replays_the_chromatic_number(tmp_path, full_records):
+    # where the bounds differ, load colors the confusion graph again
     cache = tmp_path / "cache.txt"
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
+    assert (good.key.hex, good.chromatic, good.ell_star) == ("0x356ac", 8, 3)
     forged = replace(good, chromatic=4, ell_star=2, gap=False)
     cache.write_text(forged.to_line() + "\n")
-    assert load_cache(cache, [good.key]) == {good.key: forged}
-    assert summarize([forged]).violations == (good.key,)
+    assert load_cache(cache, [good.key]) == {}
+    # chi 5 keeps the bit width, so ell_star and gap still match the line
+    edited = replace(good, chromatic=5)
+    cache.write_text("".join((edited if r == good else r).to_line() + "\n" for r in full_records))
+    assert load_cache(cache, [good.key]) == {}
+    assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
 
 
 def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_records):
     cache = tmp_path / "cache.txt"
     cache.write_text("".join(r.to_line() + "\n" for r in full_records))
+    replayed = []
+    certified = verify._certified
+
+    def counted(record):
+        replayed.append(record.key)
+        return certified(record)
+
+    monkeypatch.setattr(verify, "_certified", counted)
+    assert run_sweep([3], cache_path=cache) == [r for r in full_records if r.n == 3]
+    assert len(replayed) == 16
+
+
+def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
+    # a --force run appends a second copy of every line
+    cache = tmp_path / "cache.txt"
+    cache.write_text("".join(r.to_line() + "\n" for r in full_records) * 2)
     replayed = []
     certified = verify._certified
 
