@@ -14,6 +14,7 @@ have no text form; only tests and perfbench/traced.py use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from indexcoding.bounds import gf2_row_basis
@@ -126,13 +127,18 @@ def coloring_from_code(code: Code) -> tuple[int, ...]:
 def receiver_decodes(g: Digraph, code: Code) -> list[bool]:
     """Per receiver i, whether it always recovers x_i: no collision of the
     code, x ^ y for distinct tuples x, y sharing a codeword, confounds i.
-    A linear code's collisions are its nonzero kernel."""
+    A linear code's collisions are its nonzero kernel, the x != 0 whose
+    codeword is 0."""
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
-    by_codeword: dict[int, list[int]] = {}
-    for x, cw in enumerate(coloring_from_code(code)):
-        by_codeword.setdefault(cw, []).append(x)
-    collisions = {x ^ y for same in by_codeword.values() for x, y in combinations(same, 2)}
+    table = coloring_from_code(code)
+    if isinstance(code, LinearCode):
+        collisions = {x for x in range(1, len(table)) if not table[x]}
+    else:
+        by_codeword: dict[int, list[int]] = {}
+        for x, cw in enumerate(table):
+            by_codeword.setdefault(cw, []).append(x)
+        collisions = {x ^ y for same in by_codeword.values() for x, y in combinations(same, 2)}
     return [not any(confounds(g, i, z) for z in collisions) for i in range(g.n)]
 
 
@@ -140,9 +146,15 @@ def is_valid_code(g: Digraph, code: Code) -> bool:
     return all(receiver_decodes(g, code))
 
 
+@lru_cache(maxsize=None)
+def _row_texts(n: int) -> tuple[str, ...]:
+    """bits_from_mask(mask, n) for every n-bit mask, indexed by mask."""
+    return tuple(bits_from_mask(mask, n) for mask in range(1 << n))
+
+
 def serialize_code(code: LinearCode) -> str:
     """One row mask string per output bit, joined by ";"."""
-    return ";".join(bits_from_mask(row, code.n_messages) for row in code.rows)
+    return ";".join(map(_row_texts(code.n_messages).__getitem__, code.rows))
 
 
 def parse_code(text: str) -> LinearCode:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from indexcoding.bounds import mais, minrank_witness
+from indexcoding.bounds import _translations, mais, minrank_witness
 from indexcoding.graph import MAX_ENUM_VERTICES, Digraph
 
 
@@ -170,39 +170,19 @@ def is_k_colorable(cg: ConfusionGraph, k: int) -> bool:
     return _search_coloring(cg.adj, cg.size, k) is not None
 
 
-def _independence_number(adj: Sequence[int], nv: int) -> int:
-    """Largest independent set size: a maximum clique of the complement."""
-    full = (1 << nv) - 1
-    return _max_clique([full ^ mask ^ (1 << u) for u, mask in enumerate(adj)], nv).bit_count()
-
-
-def _maximum_independent_sets(adj: Sequence[int], nv: int, alpha: int) -> tuple[int, ...]:
-    """Every independent set of size alpha, as bitmasks, each found once:
-    a set grows only by vertices above the last one added."""
-    found = []
-    stack = [(0, (1 << nv) - 1)]
-    while stack:
-        cur, cand = stack.pop()
-        if cur.bit_count() == alpha:
-            found.append(cur)
-            continue
-        if cur.bit_count() + cand.bit_count() < alpha:
-            continue
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            stack.append((cur | (1 << v), cand & ~adj[v]))
-    return tuple(found)
+def _vertices(mask: int) -> list[int]:
+    """The vertices in a mask, in increasing order."""
+    verts = []
+    while mask:
+        verts.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return verts
 
 
 def _induced(adj: Sequence[int], keep: int) -> list[int]:
     """Adjacency of the subgraph induced on the vertex mask keep, its
     vertices renumbered in increasing order."""
-    verts = []
-    m = keep
-    while m:
-        verts.append((m & -m).bit_length() - 1)
-        m &= m - 1
+    verts = _vertices(keep)
     pos = {v: i for i, v in enumerate(verts)}
     sub = []
     for v in verts:
@@ -215,17 +195,72 @@ def _induced(adj: Sequence[int], keep: int) -> list[int]:
     return sub
 
 
+def _clique_through_zero(adj: Sequence[int]) -> int:
+    """A maximum clique of a Cayley graph on GF(2)^n, as a bitmask: vertex 0
+    plus a maximum clique of the subgraph induced on its neighbours.  Some
+    maximum clique contains 0, since translating by any of its vertices is
+    an automorphism that moves that vertex to 0."""
+    verts = _vertices(adj[0])
+    sub = _max_clique(_induced(adj, adj[0]), len(verts))
+    return 1 | sum(1 << v for i, v in enumerate(verts) if sub >> i & 1)
+
+
+def _independence_number(adj: Sequence[int], nv: int) -> int:
+    """Largest independent set size of a Cayley graph on GF(2)^n, nv = 2^n:
+    a maximum clique of the complement, itself a Cayley graph, found
+    through vertex 0 among 0's non-neighbours."""
+    full = (1 << nv) - 1
+    return _clique_through_zero([full ^ mask ^ (1 << u) for u, mask in enumerate(adj)]).bit_count()
+
+
+def _maximum_independent_sets(adj: Sequence[int], nv: int, alpha: int) -> tuple[int, ...]:
+    """Every independent set of size alpha of a Cayley graph on GF(2)^n,
+    nv = 2^n, as bitmasks, each listed once.
+
+    The sets through vertex 0 are grown from 0 by vertices above the last
+    one added, so each is found once.  Every other set is a translate of
+    one of them: a set T holding t is the translate by t of T ^ t, which
+    holds 0.  So the answer is the translates of those sets, each set's
+    translates in turn, with repeats dropped.
+    """
+    through_zero = []
+    stack = [(1, ((1 << nv) - 2) & ~adj[0])]
+    while stack:
+        cur, cand = stack.pop()
+        if cur.bit_count() == alpha:
+            through_zero.append(cur)
+            continue
+        if cur.bit_count() + cand.bit_count() < alpha:
+            continue
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            stack.append((cur | (1 << v), cand & ~adj[v]))
+    found = {}
+    for s in through_zero:
+        for moves in _translations(nv.bit_length() - 1):
+            moved = s
+            for shift, low in moves:
+                moved = (moved & low) << shift | (moved >> shift) & low
+            found[moved] = None
+    return tuple(found)
+
+
 def _k_colorable(
     adj: Sequence[int], nv: int, k: int, clique: int, alpha: int, maximum_sets: Sequence[int]
 ) -> bool:
-    """Exact k-colorability, packing maximum color classes first.
+    """Exact k-colorability of a Cayley graph on GF(2)^n, nv = 2^n,
+    packing maximum color classes first.
 
     A k-coloring leaves slack alpha * k - nv, the sum of alpha - |class|
     over its k classes, so at most slack classes fall short of alpha and
     at least k - slack are pairwise disjoint maximum independent sets.
     When k - slack >= 1 the graph is therefore k-colorable iff some
     packing of k - slack disjoint maximum independent sets leaves a
-    remainder that the exhaustive search colors with slack colors.
+    remainder that the exhaustive search colors with slack colors.  When
+    that remainder is not empty, translating by one of its vertices moves
+    the packing off vertex 0 and maps the remainder's coloring along, so
+    only packings of sets that avoid 0 are tried.
     """
     slack = alpha * k - nv
     if slack < 0:
@@ -233,6 +268,8 @@ def _k_colorable(
     need = k - slack
     if need <= 0:
         return _search_coloring(adj, nv, k, clique) is not None
+    if nv > need * alpha:
+        maximum_sets = [s for s in maximum_sets if not s & 1]
     full = (1 << nv) - 1
 
     def pack(start: int, used: int, left: int) -> bool:
@@ -257,9 +294,10 @@ def chromatic_number(cg: ConfusionGraph) -> int:
     the fractional chromatic number; on the five-vertex gap classes it is
     7 against a clique of 4, so the walk skips three refutations that
     cannot succeed.  Each k is decided by _k_colorable over the maximum
-    independent sets, enumerated once.
+    independent sets, enumerated once.  The graph is a Cayley graph on
+    GF(2)^n, so omega, alpha and those sets are all found through vertex 0.
     """
-    clique = _max_clique(cg.adj, cg.size)
+    clique = _clique_through_zero(cg.adj)
     alpha = _independence_number(cg.adj, cg.size)
     maximum_sets = _maximum_independent_sets(cg.adj, cg.size, alpha)
     k = max(clique.bit_count(), -(-cg.size // alpha))

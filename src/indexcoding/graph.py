@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from operator import or_
 from typing import Iterator, NamedTuple
 
 MAX_VERTICES = 8
@@ -275,27 +276,37 @@ def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _perm_chunk_tables(n: int) -> tuple[tuple[array, array], ...]:
-    """Per permutation, a (low, high) pair of lookup tables so relabeling an
-    adjacency code costs two table hits instead of a per-bit loop:
-    low[code & 0x3ff] | high[code >> 10].  n <= 5 means at most 20 code bits,
-    so two 10-bit chunks always cover the code (the high table is [0] when
-    the code has 10 bits or fewer)."""
+def _perm_chunk_rows(n: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
+    """Relabeling rows indexed by chunk value, so the images of an adjacency
+    code under all n! permutations are one C-level pass over two rows.
+
+    low[v][p] is the image of the low 10-bit chunk v under permutation p of
+    _perm_bit_maps(n), high[v][p] that of the high chunk v; the image of a
+    code is low[code & 0x3ff][p] | high[code >> 10][p].  n <= 5 means at
+    most 20 code bits, so two chunks always cover the code (high is the
+    single all-zero row when the code has 10 bits or fewer).  Each row is
+    built by doubling: the row of v is the row of v without its lowest bit
+    ORed with that bit's row."""
     if n > MAX_ENUM_VERTICES:
-        raise ValueError("chunk tables are built only for enumerable sizes")
+        raise ValueError("relabeling rows are built only for enumerable sizes")
     nbits = n * (n - 1)
-    tables = []
-    for bit_map in _perm_bit_maps(n):
-        pair = []
-        for base in (0, _CHUNK_BITS):
-            width = max(0, min(_CHUNK_BITS, nbits - base))
-            tab = array("I", [0]) * (1 << width)
-            for value in range(1, 1 << width):
-                low = value & -value
-                tab[value] = tab[value ^ low] | 1 << bit_map[base + low.bit_length() - 1]
-            pair.append(tab)
-        tables.append(tuple(pair))
-    return tuple(tables)
+    maps = _perm_bit_maps(n)
+    bit_rows = [array("I", [1 << m[bit] for m in maps]) for bit in range(nbits)]
+    halves = []
+    for base in (0, _CHUNK_BITS):
+        width = max(0, min(_CHUNK_BITS, nbits - base))
+        rows = [array("I", [0]) * len(maps)]
+        for value in range(1, 1 << width):
+            low = value & -value
+            rows.append(array("I", map(or_, rows[value ^ low], bit_rows[base + low.bit_length() - 1])))
+        halves.append(tuple(rows))
+    return halves[0], halves[1]
+
+
+def _relabelings(n: int, code: int) -> Iterator[int]:
+    """Adjacency codes of all n! relabelings of code, in permutation order."""
+    low, high = _perm_chunk_rows(n)
+    return map(or_, low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS])
 
 
 def _apply_bit_map(code: int, bit_map: tuple[int, ...]) -> int:
@@ -314,8 +325,7 @@ def canonical_key(g: Digraph) -> CanonicalKey:
     should not pay for the 2^(n(n-1))-entry sweep."""
     code = adjacency_code(g)
     if g.n <= MAX_ENUM_VERTICES:
-        lo, hi = code & _CHUNK_MASK, code >> _CHUNK_BITS
-        best = min(low[lo] | high[hi] for low, high in _perm_chunk_tables(g.n))
+        best = min(_relabelings(g.n, code))
     else:
         best = min(_apply_bit_map(code, bit_map) for bit_map in _perm_bit_maps(g.n))
     return CanonicalKey(g.n, best)
@@ -341,24 +351,24 @@ def orbit_table(n: int) -> OrbitTable:
     """One sweep over all 2^(n(n-1)) labeled codes.  Each code not yet
     assigned opens a new class (it is the least member of its orbit, since
     the sweep ascends), and every relabeling of it is stamped with that
-    class's index.  At n = 5 the table is 2^20 16-bit entries (2 MiB) for
+    class's index; classes.index finds the next unassigned code, so the
+    assigned ones are skipped in C.  At n = 5 the table is 2^20 16-bit entries (2 MiB) for
     9608 classes; it is cached, so the enumeration and the checks that look
     codes up share one build."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"orbit table supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
-    tables = _perm_chunk_tables(n)
-    total = 1 << (n * (n - 1))
-    classes = array("H", [_UNSEEN]) * total
+    classes = array("H", [_UNSEEN]) * (1 << (n * (n - 1)))
     reps = array("I")
-    for code in range(total):
-        if classes[code] != _UNSEEN:
-            continue
+    code = 0
+    while True:
+        try:
+            code = classes.index(_UNSEEN, code)
+        except ValueError:  # every code is assigned
+            return OrbitTable(classes, reps)
         index = len(reps)
         reps.append(code)
-        lo, hi = code & _CHUNK_MASK, code >> _CHUNK_BITS
-        for low, high in tables:
-            classes[low[lo] | high[hi]] = index
-    return OrbitTable(classes, reps)
+        for image in _relabelings(n, code):
+            classes[image] = index
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
@@ -378,10 +388,5 @@ def embeds_arc_deleted(a: Digraph, b: Digraph) -> bool:
     """
     if a.n != b.n:
         return False
-    code_a = adjacency_code(a)
-    code_b = adjacency_code(b)
-    lo, hi = code_a & _CHUNK_MASK, code_a >> _CHUNK_BITS
-    for low, high in _perm_chunk_tables(a.n):
-        if (low[lo] | high[hi]) & ~code_b == 0:
-            return True
-    return False
+    outside_b = ~adjacency_code(b)
+    return any(not image & outside_b for image in _relabelings(a.n, adjacency_code(a)))

@@ -22,7 +22,7 @@ from indexcoding.codec import (
     serialize_code,
 )
 from indexcoding.confusion import build_confusion, find_coloring
-from indexcoding.graph import digraph_from_code, enumerate_nonisomorphic, parse_digraph
+from indexcoding.graph import digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
 
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
@@ -101,6 +101,34 @@ def test_receiver_decodes_rejects_confusable_collisions():
     assert receiver_decodes(parse_digraph("n 2"), LinearCode(2, (0b01,))) == [True, False]
     with pytest.raises(ValueError):
         receiver_decodes(FIG, LinearCode(3, (0b111,)))
+
+
+def test_linear_decoding_matches_the_oracle_exhaustively(full_records):
+    # every labeled graph on at most three vertices against every linear
+    # code of at most two rows
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        codes = [LinearCode(n, rows) for length in (0, 1, 2) for rows in product(range(1 << n), repeat=length)]
+        for graph_code in range(1 << (n * (n - 1))):
+            g = digraph_from_code(n, graph_code)
+            for code in codes:
+                valid = all(receiver_decodes(g, code))
+                assert valid == oracles.decodes(n, g.rows, code.encode)
+                seen[valid] += 1
+    assert seen[True] and seen[False]
+    # every record's code with one row bit flipped
+    rng = random.Random(67)
+    seen = {True: 0, False: 0}
+    for r in full_records:
+        g = digraph_from_key(r.key)
+        rows = list(parse_code(r.code).rows)
+        rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(r.n)
+        code = LinearCode(r.n, tuple(rows))
+        encoded = [code.encode(x) for x in range(1 << r.n)]
+        valid = all(receiver_decodes(g, code))
+        assert valid == oracles.decodes(r.n, g.rows, encoded.__getitem__)
+        seen[valid] += 1
+    assert seen[True] and seen[False]
 
 
 def test_validity_matches_decode_oracle_on_random_codes():

@@ -71,6 +71,16 @@ def test_independence_number_matches_oracle(gap_records):
     for g in graphs:
         cg = build_confusion(g)
         assert _independence_number(cg.adj, cg.size) == oracles.independence_number(list(cg.adj))
+        # omega, through vertex 0, is alpha of the complement
+        full = (1 << cg.size) - 1
+        complement = [full ^ mask ^ (1 << u) for u, mask in enumerate(cg.adj)]
+        clique = confusion._clique_through_zero(cg.adj)
+        assert clique & 1 and clique.bit_count() == oracles.independence_number(complement)
+        assert all(cg.adj[u] >> v & 1 for u, v in itertools.combinations(_members(clique), 2))
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatch):
@@ -96,7 +106,7 @@ def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatc
 
 
 def test_maximum_independent_sets_match_brute_force():
-    for g in enumerate_nonisomorphic(3):
+    for g in (g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)):
         cg = build_confusion(g)
         alpha = oracles.independence_number(list(cg.adj))
         expected = {
@@ -121,6 +131,27 @@ def test_packing_decision_agrees_with_the_plain_search(gap_records):
         for k in (chi - 1, chi):
             plain = confusion._search_coloring(cg.adj, cg.size, k) is not None
             assert confusion._k_colorable(cg.adj, cg.size, k, clique, alpha, sets) == plain == (k == chi)
+
+
+def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypatch):
+    # at k = 7, alpha = 5 leaves slack 3: four disjoint maximum sets and a
+    # twelve-vertex remainder for three colours; of the 1600 packings only
+    # the 600 that avoid vertex 0 are tried
+    search = confusion._search_coloring
+    colours_asked = []
+
+    def counted(adj, nv, k, clique=None):
+        colours_asked.append(k)
+        return search(adj, nv, k, clique)
+
+    monkeypatch.setattr(confusion, "_search_coloring", counted)
+    remainder_searches = {}
+    for r in gap_records:
+        if r.chromatic == 8:
+            colours_asked.clear()
+            assert chromatic_number(build_confusion(digraph_from_key(r.key))) == 8
+            remainder_searches[r.key.hex] = colours_asked.count(3)
+    assert remainder_searches == {"0x355ad": 600, "0x356ac": 600}
 
 
 def test_k_colorability_brackets_chromatic_number():

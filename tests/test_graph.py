@@ -2,10 +2,12 @@
 
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 import oracles
+from indexcoding import graph
 from indexcoding.graph import (
     CanonicalKey,
     Category,
@@ -233,6 +235,21 @@ def test_enumeration_counts_and_canonical_order():
         keys.append(key)
     assert len(keys) == 16
     assert keys == sorted(keys)
+
+
+def test_chunk_rows_give_every_relabeling_in_permutation_order():
+    for n in (1, 2, 3, 4, 5):
+        low, high = graph._perm_chunk_rows(n)
+        nbits = n * (n - 1)
+        assert len(low) == 1 << min(nbits, 10) and len(high) == 1 << max(nbits - 10, 0)
+        assert all(row.typecode == "I" and len(row) == factorial(n) for row in low + high)
+    rng = random.Random(71)
+    for n in (1, 2, 3, 4, 5):
+        codes = range(1 << (n * (n - 1))) if n <= 4 else [rng.getrandbits(20) for _ in range(2000)]
+        maps = graph._perm_bit_maps(n)
+        for code in codes:
+            expected = [graph._apply_bit_map(code, m) for m in maps]
+            assert list(graph._relabelings(n, code)) == expected
 
 
 def test_orbit_table_classes_match_oracle_partition():
