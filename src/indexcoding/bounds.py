@@ -31,13 +31,16 @@ def gf2_row_basis(rows: Iterable[int]) -> list[int]:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _masks_largest_first(n: int) -> tuple[int, ...]:
+    """The nonempty n-bit masks, by popcount from n down to 1."""
+    return tuple(sorted(range(1, 1 << n), key=int.bit_count, reverse=True))
+
+
 def mais(g: Digraph) -> int:
-    """Order of a largest acyclic induced subgraph."""
-    best = 1
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() > best and subset_is_acyclic(g, mask):
-            best = mask.bit_count()
-    return best
+    """Order of a largest acyclic induced subgraph: the first acyclic
+    subset, trying larger subsets first (a single vertex always is)."""
+    return next(mask.bit_count() for mask in _masks_largest_first(g.n) if subset_is_acyclic(g, mask))
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +75,11 @@ def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
     first matrix found is the string-lex smallest one of minimal rank.  The
     span of the rows chosen so far is held as a 2^n-bit set, bit v set iff
     the vector v lies in it, so membership is one shift and adding a row
-    is a union with the span's translate.
+    is a union with the span's translate.  Under a fixed target, whether
+    the rows from vertex i on can complete the matrix depends only on
+    (i, span), the rank being log2 of the span's size; so each span that
+    fails at level i is recorded, in sets that start empty for each
+    target, and never searched again there.
     """
     n = g.n
     candidates = [_candidates(n, i, g.rows[i] | 1 << i) for i in range(n)]
@@ -81,21 +88,27 @@ def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
     def dfs(i: int, span: int, rank: int, target: int) -> list[int] | None:
         if i == n:
             return []
+        dead = failed[i + 1]
         for cand in candidates[i]:
             if span >> cand & 1:
-                tail = dfs(i + 1, span, rank, target)
+                nxt, nxt_rank = span, rank
             elif rank < target:
                 moved = span
                 for shift, low in moves[cand]:
                     moved = (moved & low) << shift | (moved >> shift) & low
-                tail = dfs(i + 1, span | moved, rank + 1, target)
+                nxt, nxt_rank = span | moved, rank + 1
             else:
                 continue
+            if nxt in dead:
+                continue
+            tail = dfs(i + 1, nxt, nxt_rank, target)
             if tail is not None:
                 return [cand] + tail
+        failed[i].add(span)
         return None
 
     for target in range(known_mais, n + 1):
+        failed: list[set[int]] = [set() for _ in range(n + 1)]
         rows = dfs(0, 1, 0, target)
         if rows is not None:
             return target, tuple(rows)

@@ -352,9 +352,9 @@ def orbit_table(n: int) -> OrbitTable:
     assigned opens a new class (it is the least member of its orbit, since
     the sweep ascends), and every relabeling of it is stamped with that
     class's index; classes.index finds the next unassigned code, so the
-    assigned ones are skipped in C.  At n = 5 the table is 2^20 16-bit entries (2 MiB) for
-    9608 classes; it is cached, so the enumeration and the checks that look
-    codes up share one build."""
+    assigned ones are skipped in C.  At n = 5 the table is 2^20 16-bit
+    entries (2 MiB) for 9608 classes; it is cached, so the sweep's keys,
+    the enumeration and the checks that look codes up share one build."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"orbit table supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
     classes = array("H", [_UNSEEN]) * (1 << (n * (n - 1)))

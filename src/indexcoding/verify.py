@@ -11,7 +11,6 @@ vertices, and the two maximal bound-gap classes.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -26,12 +25,10 @@ from indexcoding.graph import (
     CanonicalKey,
     Category,
     Digraph,
-    adjacency_code,
     canonical_key,
     categorize,
     digraph_from_key,
     embeds_arc_deleted,
-    enumerate_nonisomorphic,
     orbit_table,
     subset_is_acyclic,
 )
@@ -210,8 +207,11 @@ def _end_torn_tail(fh: BinaryIO) -> None:
 
 def _analyze_keys(tasks: Sequence[CanonicalKey], jobs: int) -> Iterator[VerificationRecord]:
     """Records for the keys in task order, from a process pool when
-    jobs > 1."""
+    jobs > 1; the pool module is imported only then, so a serial run and
+    the CLI's start-up do not pay for it."""
     if jobs > 1 and len(tasks) > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             yield from pool.imap(_analyze_key, tasks, chunksize=64)
     else:
@@ -228,15 +228,13 @@ def run_sweep(
     canonical key.  Cached keys are reused unless force.  The cache is
     opened before any analysis, so a bad path fails at once, and each fresh
     record is appended as it arrives, so an interrupted run keeps its work.
-    Analysis of distinct graphs is independent, so jobs > 1 fans out over a
-    process pool; the merge order is fixed by the final sort, making reports
-    identical for any worker count."""
+    The keys are read from the orbit tables, so each uncached class
+    representative is built once, by its analysis.  Analysis of distinct
+    graphs is independent, so jobs > 1 fans out over a process pool; the
+    merge order is fixed by the final sort, making reports identical for
+    any worker count."""
     with open(cache_path, "a+b") if cache_path is not None else contextlib.nullcontext() as sink:
-        keys = [
-            CanonicalKey(n, adjacency_code(g))
-            for n in sorted(set(orders))
-            for g in enumerate_nonisomorphic(n)
-        ]
+        keys = [CanonicalKey(n, code) for n in sorted(set(orders)) for code in orbit_table(n).reps]
         cached: dict[CanonicalKey, VerificationRecord] = {}
         if sink is not None:
             _end_torn_tail(sink)
@@ -256,11 +254,12 @@ def maximal_gap_classes(gap_records: Sequence[VerificationRecord]) -> list[Verif
     """Core gap classes: those not containing another gap class as a proper
     arc-deleted subgraph.
 
-    Deleting arcs removes side information, so these cores sit at maximal
-    deleted side information: every gap class degrades onto one of them by
-    arc deletion, which the sweep checks as an invariant.  Distinct classes
-    of equal order can only embed with strictly fewer arcs, so distinctness
-    alone makes an embedding proper."""
+    Deleting arcs removes side information, so these cores are the
+    arc-minimal gap classes.  Every gap class degrades onto one of them by
+    arc deletion; that holds by construction (follow proper embeddings down,
+    each losing arcs, until none is left), not by a separate check.
+    Distinct classes of equal order can only embed with strictly fewer
+    arcs, so distinctness alone makes an embedding proper."""
     graphs = {r.key: digraph_from_key(r.key) for r in gap_records}
     out = []
     for r in gap_records:

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from indexcoding.bounds import gf2_row_basis, mais, minrank_witness
-from indexcoding.graph import digraph_from_code, enumerate_nonisomorphic, parse_digraph
+from indexcoding.graph import Digraph, digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
@@ -61,7 +61,8 @@ def test_fits():
 
 
 def test_mais_matches_oracle_exhaustively_small():
-    for n in (1, 2, 3):
+    # every labeled graph up to four vertices, 4096 of them at n = 4
+    for n in (1, 2, 3, 4):
         for code in range(1 << (n * (n - 1))):
             g = digraph_from_code(n, code)
             assert mais(g) == oracles.mais_order(n, g.rows)
@@ -107,6 +108,21 @@ def test_minrank_witness_matches_pivot_reference():
     for g in graphs:
         lo = mais(g)
         assert minrank_witness(g, lo) == oracles.minrank_witness_pivots(g.n, g.rows, lo)
+
+
+def test_minrank_witness_matches_pivot_reference_on_gap_classes(gap_records):
+    # on a gap class no matrix of rank mais fits, so the first target fails
+    # and the next one starts from fresh failed-span sets
+    rng = random.Random(59)
+    assert len(gap_records) == 28
+    for r in gap_records:
+        rep = digraph_from_key(r.key)
+        for _ in range(4):
+            perm = tuple(rng.sample(range(5), 5))
+            g = Digraph(5, oracles.relabel(5, rep.rows, perm))
+            lo = mais(g)
+            assert lo < r.minrank
+            assert minrank_witness(g, lo) == oracles.minrank_witness_pivots(5, g.rows, lo)
 
 
 def test_minrank_witness_fits_and_has_witnessed_rank():

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,14 @@ from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
 K4_TEXT = "n 4 ; 1-2 1-3 1-4 2-3 2-4 3-4"
+
+
+def test_cli_import_leaves_the_pool_module_unloaded():
+    # only a sweep with jobs > 1 imports multiprocessing
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, indexcoding.cli; assert 'multiprocessing' not in sys.modules, 'loaded'"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_human(capsys):

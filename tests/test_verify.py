@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import indexcoding.graph as graph
 import indexcoding.verify as verify
 import oracles
 from indexcoding.codec import bits_from_mask, coloring_from_code, parse_code
@@ -115,6 +116,22 @@ def test_run_sweep_orders_and_counts():
     # representatives decode from their keys
     for r in records[:5]:
         assert canonical_key(digraph_from_key(r.key)) == r.key
+
+
+def test_cold_sweep_builds_each_representative_once(monkeypatch):
+    # the keys come from the orbit tables, so only the analysis of each
+    # class builds its representative: 1 + 3 + 16 + 218 classes
+    built = []
+    from_code = graph.digraph_from_code
+
+    def counted(n, code):
+        built.append((n, code))
+        return from_code(n, code)
+
+    monkeypatch.setattr(graph, "digraph_from_code", counted)
+    records = run_sweep([1, 2, 3, 4])
+    assert len(records) == len(built) == 238
+    assert sorted(built) == [(r.n, r.key.key) for r in records]
 
 
 def test_run_sweep_cache_reuse_and_force(tmp_path):
