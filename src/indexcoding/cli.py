@@ -42,21 +42,24 @@ def _load_graph(args: argparse.Namespace) -> Digraph:
     return parse_digraph(Path(args.input).read_text())
 
 
-def _max_n_arg(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
+def _decimal(value: str) -> int:
+    """An optionally signed ASCII decimal; int alone would also read
+    "1_0", " 3" and non-ASCII digits."""
+    digits = value[1:] if value[:1] in ("+", "-") else value
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _max_n_arg(value: str) -> int:
+    n = _decimal(value)
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise argparse.ArgumentTypeError(f"max-n must be in 1..{MAX_ENUM_VERTICES}")
     return n
 
 
 def _jobs_arg(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    jobs = _decimal(value)
     if jobs < 1:
         raise argparse.ArgumentTypeError("jobs must be at least 1")
     return jobs

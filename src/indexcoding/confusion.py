@@ -56,68 +56,17 @@ def build_confusion(g: Digraph) -> ConfusionGraph:
     return ConfusionGraph(g.n, diffs, tuple(adj))
 
 
-def _max_clique(adj: Sequence[int], nv: int) -> int:
-    """Maximum clique bitmask by pivoted branch and bound: the chromatic
-    lower bound, and the precolored seed that breaks color symmetry."""
-    best = 0
-    stack = [(0, (1 << nv) - 1)]
-    while stack:
-        cur, cand = stack.pop()
-        if cur.bit_count() + cand.bit_count() <= best.bit_count():
-            continue
-        if cand == 0:
-            best = cur
-            continue
-        pivot = -1
-        pivot_deg = -1
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (adj[v] & cand).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = v, deg
-        ext = cand & ~adj[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            stack.append((cur | (1 << v), cand & adj[v]))
-            cand ^= 1 << v
-    return best
-
-
-def _search_coloring(adj: Sequence[int], nv: int, k: int, clique: int | None = None) -> list[int] | None:
-    """Exhaustive k-coloring by backtracking, or None.
+def _search_coloring(adj: Sequence[int], keep: int, k: int) -> list[int] | None:
+    """Exhaustive k-coloring, by backtracking, of the subgraph induced on
+    the vertex mask keep: a color per vertex, -1 for a vertex outside keep,
+    or None if there is none.
 
     The next vertex to color is always a most-saturated uncolored one, so
-    dead ends surface early.  Symmetry is broken two ways: a clique (a
-    maximum one unless passed in) is preassigned distinct colors, and an
-    uncolored vertex may open at most one fresh color.
+    dead ends surface early.  An uncolored vertex may open at most one
+    fresh color, which breaks the symmetry among the colors.
     """
-    if k <= 0:
-        return None if nv else []
-    if k >= nv:
-        return list(range(nv))
-    if clique is None:
-        clique = _max_clique(adj, nv)
-    if clique.bit_count() > k:
-        return None
-    colors = [-1] * nv
-    seen = [0] * nv
-    uncolored = (1 << nv) - 1
-    used = 0
-    m = clique
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        colors[v] = used
-        uncolored ^= 1 << v
-        w_mask = adj[v]
-        while w_mask:
-            w = (w_mask & -w_mask).bit_length() - 1
-            w_mask &= w_mask - 1
-            seen[w] |= 1 << used
-        used += 1
+    colors = [-1] * len(adj)
+    seen = [0] * len(adj)
 
     def assign(uncolored: int, used: int) -> bool:
         if uncolored == 0:
@@ -153,84 +102,46 @@ def _search_coloring(adj: Sequence[int], nv: int, k: int, clique: int | None = N
         colors[v] = -1
         return False
 
-    if assign(uncolored, used):
-        return colors
-    return None
+    return colors if assign(keep, 0) else None
 
 
 def find_coloring(cg: ConfusionGraph, k: int) -> tuple[int, ...] | None:
-    """A proper k-coloring as a color-per-tuple vector, or None if chi > k.
-    Only tests and perfbench/traced.py call this and is_k_colorable;
-    the package decides chi through chromatic_number alone."""
-    found = _search_coloring(cg.adj, cg.size, k)
+    """A proper k-coloring as a color-per-tuple vector, or None if chi > k:
+    the plain exhaustive search over every tuple, with no packing.  Only
+    tests and perfbench/traced.py call this and is_k_colorable; the
+    package decides chi through chromatic_number alone."""
+    found = _search_coloring(cg.adj, (1 << cg.size) - 1, k)
     return None if found is None else tuple(found)
 
 
 def is_k_colorable(cg: ConfusionGraph, k: int) -> bool:
-    return _search_coloring(cg.adj, cg.size, k) is not None
+    return chromatic_number(cg) <= k
 
 
-def _vertices(mask: int) -> list[int]:
-    """The vertices in a mask, in increasing order."""
-    verts = []
-    while mask:
-        verts.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return verts
-
-
-def _induced(adj: Sequence[int], keep: int) -> list[int]:
-    """Adjacency of the subgraph induced on the vertex mask keep, its
-    vertices renumbered in increasing order."""
-    verts = _vertices(keep)
-    pos = {v: i for i, v in enumerate(verts)}
-    sub = []
-    for v in verts:
-        row = 0
-        m = adj[v] & keep
-        while m:
-            row |= 1 << pos[(m & -m).bit_length() - 1]
-            m &= m - 1
-        sub.append(row)
-    return sub
-
-
-def _clique_through_zero(adj: Sequence[int]) -> int:
-    """A maximum clique of a Cayley graph on GF(2)^n, as a bitmask: vertex 0
-    plus a maximum clique of the subgraph induced on its neighbours.  Some
-    maximum clique contains 0, since translating by any of its vertices is
-    an automorphism that moves that vertex to 0."""
-    verts = _vertices(adj[0])
-    sub = _max_clique(_induced(adj, adj[0]), len(verts))
-    return 1 | sum(1 << v for i, v in enumerate(verts) if sub >> i & 1)
-
-
-def _independence_number(adj: Sequence[int], nv: int) -> int:
-    """Largest independent set size of a Cayley graph on GF(2)^n, nv = 2^n:
-    a maximum clique of the complement, itself a Cayley graph, found
-    through vertex 0 among 0's non-neighbours."""
-    full = (1 << nv) - 1
-    return _clique_through_zero([full ^ mask ^ (1 << u) for u, mask in enumerate(adj)]).bit_count()
-
-
-def _maximum_independent_sets(adj: Sequence[int], nv: int, alpha: int) -> tuple[int, ...]:
-    """Every independent set of size alpha of a Cayley graph on GF(2)^n,
-    nv = 2^n, as bitmasks, each listed once.
+def _maximum_independent_sets(adj: Sequence[int], nv: int) -> tuple[int, ...]:
+    """Every maximum independent set of a Cayley graph on GF(2)^n,
+    nv = 2^n, as bitmasks, each listed once; alpha is the size of any.
 
     The sets through vertex 0 are grown from 0 by vertices above the last
-    one added, so each is found once.  Every other set is a translate of
+    one added, so each is found once.  A branch is dropped once it cannot
+    reach the largest size found so far, and the sets kept are dropped
+    whenever that size rises.  Every other maximum set is a translate of
     one of them: a set T holding t is the translate by t of T ^ t, which
     holds 0.  So the answer is the translates of those sets, each set's
     translates in turn, with repeats dropped.
     """
+    best = 0
     through_zero = []
     stack = [(1, ((1 << nv) - 2) & ~adj[0])]
     while stack:
         cur, cand = stack.pop()
-        if cur.bit_count() == alpha:
-            through_zero.append(cur)
+        size = cur.bit_count()
+        if size + cand.bit_count() < best:
             continue
-        if cur.bit_count() + cand.bit_count() < alpha:
+        if cand == 0:
+            if size > best:
+                best, through_zero = size, []
+            through_zero.append(cur)
             continue
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -246,9 +157,7 @@ def _maximum_independent_sets(adj: Sequence[int], nv: int, alpha: int) -> tuple[
     return tuple(found)
 
 
-def _k_colorable(
-    adj: Sequence[int], nv: int, k: int, clique: int, alpha: int, maximum_sets: Sequence[int]
-) -> bool:
+def _k_colorable(adj: Sequence[int], nv: int, k: int, alpha: int, maximum_sets: Sequence[int]) -> bool:
     """Exact k-colorability of a Cayley graph on GF(2)^n, nv = 2^n,
     packing maximum color classes first.
 
@@ -266,16 +175,15 @@ def _k_colorable(
     if slack < 0:
         return False
     need = k - slack
+    full = (1 << nv) - 1
     if need <= 0:
-        return _search_coloring(adj, nv, k, clique) is not None
+        return _search_coloring(adj, full, k) is not None
     if nv > need * alpha:
         maximum_sets = [s for s in maximum_sets if not s & 1]
-    full = (1 << nv) - 1
 
     def pack(start: int, used: int, left: int) -> bool:
         if left == 0:
-            rest = full & ~used
-            return _search_coloring(_induced(adj, rest), rest.bit_count(), slack) is not None
+            return _search_coloring(adj, full & ~used, slack) is not None
         for index in range(start, len(maximum_sets) - left + 1):
             s = maximum_sets[index]
             if not s & used and pack(index + 1, used | s, left - 1):
@@ -287,21 +195,21 @@ def _k_colorable(
 
 def chromatic_number(cg: ConfusionGraph) -> int:
     """Least k for which the graph is k-colorable, counting up from
-    max(omega, ceil(size / alpha)); k = size always succeeds.
+    ceil(size / alpha); k = size always succeeds.
 
     Every color class is an independent set, so no graph has fewer than
-    size / alpha colors.  On these vertex-transitive graphs that bound is
-    the fractional chromatic number; on the five-vertex gap classes it is
-    7 against a clique of 4, so the walk skips three refutations that
-    cannot succeed.  Each k is decided by _k_colorable over the maximum
-    independent sets, enumerated once.  The graph is a Cayley graph on
-    GF(2)^n, so omega, alpha and those sets are all found through vertex 0.
+    size / alpha colors, and the walk may start there because it only
+    needs a start no larger than chi.  A clique would never raise that
+    start: the graph is vertex-transitive, so alpha * omega <= size and
+    omega <= ceil(size / alpha).  On the five-vertex gap classes the start
+    is 7 against a clique of 4.  Each k is decided by _k_colorable over
+    the maximum independent sets, enumerated once through vertex 0 of this
+    Cayley graph on GF(2)^n; alpha is the size of any of them.
     """
-    clique = _clique_through_zero(cg.adj)
-    alpha = _independence_number(cg.adj, cg.size)
-    maximum_sets = _maximum_independent_sets(cg.adj, cg.size, alpha)
-    k = max(clique.bit_count(), -(-cg.size // alpha))
-    while not _k_colorable(cg.adj, cg.size, k, clique, alpha, maximum_sets):
+    maximum_sets = _maximum_independent_sets(cg.adj, cg.size)
+    alpha = maximum_sets[0].bit_count()
+    k = -(-cg.size // alpha)
+    while not _k_colorable(cg.adj, cg.size, k, alpha, maximum_sets):
         k += 1
     return k
 

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 MAX_VERTICES = 8
 MAX_ENUM_VERTICES = 5
 
-_TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$")
+_TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$", re.ASCII)
 _CHUNK_BITS = 10
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
@@ -99,7 +99,8 @@ class Category(IntEnum):
 
 
 def parse_digraph(text: str) -> Digraph:
-    """Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based.
+    """Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based;
+    N, a and b are written in ASCII decimal digits.
 
     '#' starts a comment running to end of line.  Raises GraphFormatError
     with the offending token position on malformed input.
@@ -111,7 +112,7 @@ def parse_digraph(text: str) -> Digraph:
         raise GraphFormatError("empty graph description")
     if tokens[0] != "n":
         raise GraphFormatError(f"token 1: expected 'n', got {tokens[0]!r}")
-    if len(tokens) < 2 or not tokens[1].isdigit():
+    if len(tokens) < 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
         got = tokens[1] if len(tokens) > 1 else "<end>"
         raise GraphFormatError(f"token 2: expected vertex count, got {got!r}")
     n = int(tokens[1])

@@ -234,6 +234,20 @@ def test_verify_max_n_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_non_ascii_and_non_decimal_numbers_exit_2_without_a_traceback(capsys):
+    # superscript two, full-width five and Arabic-Indic two are not numbers
+    for text, token in (("n \u00b2", "\u00b2"), ("n \uff15 ; 1->2", "\uff15"), ("n 2 ; 1->\u0662", "1->\u0662")):
+        assert main(["analyze", "--graph", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: token ") and repr(token) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+    for option, value in (("--jobs", "1_0"), ("--max-n", "\uff15"), ("--jobs", " 2")):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", option, value])
+        assert err.value.code == 2
+        assert f"argument {option}: not an integer: {value!r}" in capsys.readouterr().err
+
+
 def test_verify_jobs_below_one_usage_error(capsys):
     for jobs in ("0", "-1"):
         with pytest.raises(SystemExit) as err:

@@ -10,7 +10,6 @@ from indexcoding import confusion
 from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import code_from_coloring, is_valid_code
 from indexcoding.confusion import (
-    _independence_number,
     build_confusion,
     chromatic_number,
     confusion_diffs,
@@ -65,31 +64,41 @@ def test_chromatic_matches_cover_dp_oracle_small():
             assert chromatic_number(cg) == oracles.chromatic_dp(list(cg.adj))
 
 
-def test_independence_number_matches_oracle(gap_records):
+def _small_and_gap_graphs(gap_records):
     graphs = [g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)]
-    graphs += [digraph_from_key(r.key) for r in gap_records]
-    for g in graphs:
+    assert len(graphs) == 238
+    return graphs + [digraph_from_key(r.key) for r in gap_records]
+
+
+def test_independence_number_matches_oracle(gap_records):
+    for g in _small_and_gap_graphs(gap_records):
         cg = build_confusion(g)
-        assert _independence_number(cg.adj, cg.size) == oracles.independence_number(list(cg.adj))
-        # omega, through vertex 0, is alpha of the complement
+        # alpha is the size of every set the maximum-set search returns
+        sizes = {s.bit_count() for s in confusion._maximum_independent_sets(cg.adj, cg.size)}
+        assert sizes == {oracles.independence_number(list(cg.adj))}
+
+
+def test_clique_never_raises_the_independence_start(gap_records):
+    # the confusion graph is vertex-transitive, so alpha * omega <= 2^n and
+    # omega <= ceil(2^n / alpha), the walk's start; omega is alpha of the
+    # complement
+    for g in _small_and_gap_graphs(gap_records):
+        cg = build_confusion(g)
         full = (1 << cg.size) - 1
         complement = [full ^ mask ^ (1 << u) for u, mask in enumerate(cg.adj)]
-        clique = confusion._clique_through_zero(cg.adj)
-        assert clique & 1 and clique.bit_count() == oracles.independence_number(complement)
-        assert all(cg.adj[u] >> v & 1 for u, v in itertools.combinations(_members(clique), 2))
-
-
-def _members(mask):
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+        alpha = oracles.independence_number(list(cg.adj))
+        omega = oracles.independence_number(complement)
+        assert alpha * omega <= cg.size == 1 << g.n
+        assert omega <= -(-cg.size // alpha)
 
 
 def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatch):
     decide = confusion._k_colorable
     walks = {}
 
-    def recorded(adj, nv, k, clique, alpha, maximum_sets):
+    def recorded(adj, nv, k, alpha, maximum_sets):
         walk.append(k)
-        return decide(adj, nv, k, clique, alpha, maximum_sets)
+        return decide(adj, nv, k, alpha, maximum_sets)
 
     monkeypatch.setattr(confusion, "_k_colorable", recorded)
     for r in gap_records:
@@ -114,23 +123,19 @@ def test_maximum_independent_sets_match_brute_force():
             for subset in itertools.combinations(range(cg.size), alpha)
             if all(not cg.adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2))
         }
-        found = confusion._maximum_independent_sets(cg.adj, cg.size, alpha)
+        found = confusion._maximum_independent_sets(cg.adj, cg.size)
         assert len(found) == len(expected) and set(found) == expected
 
 
 def test_packing_decision_agrees_with_the_plain_search(gap_records):
-    graphs = [g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)]
-    assert len(graphs) == 238
-    graphs += [digraph_from_key(r.key) for r in gap_records]
-    for g in graphs:
+    for g in _small_and_gap_graphs(gap_records):
         cg = build_confusion(g)
-        clique = confusion._max_clique(cg.adj, cg.size)
-        alpha = _independence_number(cg.adj, cg.size)
-        sets = confusion._maximum_independent_sets(cg.adj, cg.size, alpha)
+        sets = confusion._maximum_independent_sets(cg.adj, cg.size)
+        alpha = sets[0].bit_count()
         chi = chromatic_number(cg)
         for k in (chi - 1, chi):
-            plain = confusion._search_coloring(cg.adj, cg.size, k) is not None
-            assert confusion._k_colorable(cg.adj, cg.size, k, clique, alpha, sets) == plain == (k == chi)
+            plain = confusion._search_coloring(cg.adj, (1 << cg.size) - 1, k) is not None
+            assert confusion._k_colorable(cg.adj, cg.size, k, alpha, sets) == plain == (k == chi)
 
 
 def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypatch):
@@ -140,9 +145,9 @@ def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypa
     search = confusion._search_coloring
     colours_asked = []
 
-    def counted(adj, nv, k, clique=None):
+    def counted(adj, keep, k):
         colours_asked.append(k)
-        return search(adj, nv, k, clique)
+        return search(adj, keep, k)
 
     monkeypatch.setattr(confusion, "_search_coloring", counted)
     remainder_searches = {}
@@ -155,7 +160,7 @@ def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypa
 
 
 def test_k_colorability_brackets_chromatic_number():
-    for g in enumerate_nonisomorphic(3):
+    for g in (g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)):
         cg = build_confusion(g)
         chi = chromatic_number(cg)
         assert not is_k_colorable(cg, chi - 1)

@@ -76,6 +76,10 @@ def test_parse_arcless():
         ("n 3 ; 1--2", "token 4"),
         ("n 3 ; 1>2", "token 4"),
         ("n 3 1-2 0-1", "token 4"),
+        # only ASCII decimal digits are numbers
+        ("n \u00b2", "token 2"),
+        ("n \uff15 ; 1->2", "token 2"),
+        ("n 2 ; 1->\u0662", "token 4"),
     ],
 )
 def test_parse_errors_carry_token_position(text, fragment):
