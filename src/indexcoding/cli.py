@@ -97,14 +97,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+    if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         reason = "it is a directory" if Path(args.out).is_dir() else "its directory does not exist"
-        print(f"error: cannot write the report {args.out}: {reason}", file=sys.stderr)
+        print(f"error: cannot write the report {args.out!r}: {reason}", file=sys.stderr)
         return 2
-    records, summary, checks = verify_theorem(
-        args.max_n, jobs=args.jobs, cache_path=args.cache, force=args.force
-    )
-    if args.out:
+    records, summary, checks = verify_theorem(args.max_n, jobs=args.jobs, cache_path=args.cache)
+    if args.out is not None:
         write_report(records, args.out)
     print(summary_text(summary), end="")
     for name, passed in checks.items():
@@ -172,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes (at least 1)")
     p.add_argument("--out", metavar="PATH", help="write the record report here")
     p.add_argument("--cache", metavar="PATH", help="append-only record cache")
-    p.add_argument("--force", action="store_true", help="recompute cached records")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-code", help="print an optimal code with decode confirmation")

@@ -222,36 +222,33 @@ def categorize(g: Digraph) -> Category:
     raise ValueError(f"undirected girth {girth} outside the supported classification")
 
 
+@lru_cache(maxsize=None)
+def _row_fields(n: int) -> tuple[tuple[int, ...], ...]:
+    """_row_fields(n)[i][f] is the row of vertex i held in the (n-1)-bit
+    field f of an adjacency code; the field's top bit is the arc to the
+    least other vertex."""
+    return tuple(
+        tuple(sum(1 << j for p, j in enumerate(js) if f >> p & 1) for f in range(1 << (n - 1)))
+        for js in ([j for j in reversed(range(n)) if j != i] for i in range(n))
+    )
+
+
 def adjacency_code(g: Digraph) -> int:
     """Row-major adjacency bit-string (diagonal skipped) packed so that
-    integer order equals lexicographic order of the string."""
-    top = g.n * (g.n - 1) - 1
+    integer order equals lexicographic order of the string: row i is the
+    (n-1)-bit field at shift (n-1)(n-1-i)."""
     code = 0
-    p = 0
-    for i in range(g.n):
-        for j in range(g.n):
-            if i == j:
-                continue
-            if g.rows[i] >> j & 1:
-                code |= 1 << (top - p)
-            p += 1
+    for fields, row in zip(_row_fields(g.n), g.rows):
+        code = code << (g.n - 1) | fields.index(row)
     return code
 
 
 def digraph_from_code(n: int, code: int) -> Digraph:
     """Inverse of adjacency_code."""
-    top = n * (n - 1) - 1
-    if code >> (top + 1):
+    if code >> (n * (n - 1)):
         raise ValueError("adjacency code has more bits than n allows")
-    rows = [0] * n
-    p = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if code >> (top - p) & 1:
-                rows[i] |= 1 << j
-            p += 1
+    mask = (1 << (n - 1)) - 1
+    rows = (fields[code >> (n - 1) * (n - 1 - i) & mask] for i, fields in enumerate(_row_fields(n)))
     return Digraph(n, tuple(rows))
 
 

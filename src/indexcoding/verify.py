@@ -160,10 +160,14 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
 
 
 def _certified(record: VerificationRecord) -> bool:
-    """True iff the record's code parses and decodes for its class, and the
-    builder, given the class, a fresh mais and that code, rebuilds the
-    record exactly, chromatic number included.  Still trusted: the code's
-    minimality."""
+    """True iff the record's code is as long as its ell_star, parses and
+    decodes for its class, and the builder, given the class, a fresh mais
+    and that code, rebuilds the record exactly, chromatic number included.
+    The rebuild derives ell_star exactly, and a decoding linear code of
+    length L bounds minrank by L, so ell_star <= minrank <= L = ell_star:
+    a kept code is minimal."""
+    if record.minrank != record.ell_star:
+        return False
     g = digraph_from_key(record.key)
     try:
         code = parse_code(record.code)
@@ -219,13 +223,10 @@ def _analyze_keys(tasks: Sequence[CanonicalKey], jobs: int) -> Iterator[Verifica
 
 
 def run_sweep(
-    orders: Iterable[int],
-    jobs: int = 1,
-    cache_path: str | Path | None = None,
-    force: bool = False,
+    orders: Iterable[int], jobs: int = 1, cache_path: str | Path | None = None
 ) -> list[VerificationRecord]:
     """Analyze every isomorphism class of the given orders, sorted by
-    canonical key.  Cached keys are reused unless force.  The cache is
+    canonical key.  Cached keys are reused.  The cache is
     opened before any analysis, so a bad path fails at once, and each fresh
     record is appended as it arrives, so an interrupted run keeps its work.
     The keys are read from the orbit tables, so each uncached class
@@ -238,8 +239,7 @@ def run_sweep(
         cached: dict[CanonicalKey, VerificationRecord] = {}
         if sink is not None:
             _end_torn_tail(sink)
-            if not force:
-                cached = load_cache(cache_path, keys)
+            cached = load_cache(cache_path, keys)
         records = [cached[key] for key in keys if key in cached]
         tasks = [key for key in keys if key not in cached]
         for record in _analyze_keys(tasks, jobs):
@@ -354,10 +354,7 @@ def check_structural_conditions(records: Sequence[VerificationRecord]) -> bool:
 
 
 def verify_theorem(
-    max_n: int,
-    jobs: int = 1,
-    cache_path: str | Path | None = None,
-    force: bool = False,
+    max_n: int, jobs: int = 1, cache_path: str | Path | None = None
 ) -> tuple[list[VerificationRecord], SweepSummary, dict[str, bool]]:
     """Sweep all orders up to max_n and run every named check on the records.
 
@@ -367,7 +364,7 @@ def verify_theorem(
     """
     if not 1 <= max_n <= MAX_ENUM_VERTICES:
         raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
-    records = run_sweep(range(1, max_n + 1), jobs=jobs, cache_path=cache_path, force=force)
+    records = run_sweep(range(1, max_n + 1), jobs=jobs, cache_path=cache_path)
     checks = {"mais >= n-2 squeeze": check_lemma_mais2(max_n, records)}
     if max_n == 5:
         checks["structural conditions (n=5, mais=2)"] = check_structural_conditions(

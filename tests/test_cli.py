@@ -121,6 +121,26 @@ def test_out_naming_a_directory_exits_2_before_any_analysis(tmp_path, capsys, mo
     assert str(target) in captured.err and ".tmp" not in captured.err
 
 
+def test_empty_out_exits_2_before_any_analysis(tmp_path, capsys, monkeypatch):
+    # Path("") is ".", a directory, so an empty report path is refused, not dropped
+    calls = []
+    monkeypatch.setattr(verify, "analyze", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--max-n", "2", "--out", ""]) == 2
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write the report '': it is a directory\n"
+    assert captured.out == ""
+
+
+def test_verify_force_is_a_usage_error(capsys):
+    # a cache line is reused only if it proves its code minimal, so no run recomputes by flag
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--max-n", "2", "--force"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 def test_non_utf8_cache_line_is_recomputed(tmp_path, capsys):
     cache, cold, warm = tmp_path / "cache.txt", tmp_path / "cold.csv", tmp_path / "warm.csv"
     assert main(["verify", "--max-n", "3", "--cache", str(cache), "--out", str(cold)]) == 0

@@ -1,7 +1,7 @@
 """Graph parsing, structure queries, canonical labeling, enumeration."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -187,6 +187,21 @@ def test_adjacency_code_orders_like_row_major_bit_string():
     # arc 1->2 occupies the most significant position at n=2
     assert adjacency_code(parse_digraph("n 2 ; 1->2")) == 0b10
     assert adjacency_code(parse_digraph("n 2 ; 2->1")) == 0b01
+
+    def bit_string(g):
+        return "".join(str(g.rows[i] >> j & 1) for i in range(g.n) for j in range(g.n) if i != j)
+
+    def row_choices(n):
+        return [[row for row in range(1 << n) if not row >> i & 1] for i in range(n)]
+
+    graphs = [Digraph(n, rows) for n in range(1, 4) for rows in product(*row_choices(n))]
+    rng = random.Random(29)
+    for n in range(4, 9):
+        graphs += [Digraph(n, tuple(rng.choice(c) for c in row_choices(n))) for _ in range(20)]
+    for g in graphs:
+        code = int(bit_string(g) or "0", 2)
+        assert adjacency_code(g) == code
+        assert digraph_from_code(g.n, code) == g
 
 
 def test_relabel_matches_direct_image():

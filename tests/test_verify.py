@@ -134,16 +134,13 @@ def test_cold_sweep_builds_each_representative_once(monkeypatch):
     assert sorted(built) == [(r.n, r.key.key) for r in records]
 
 
-def test_run_sweep_cache_reuse_and_force(tmp_path):
+def test_run_sweep_cache_reuse(tmp_path):
     cache = tmp_path / "cache.txt"
     first = run_sweep([3], cache_path=cache)
     size_after_first = cache.stat().st_size
     second = run_sweep([3], cache_path=cache)
     assert second == first
     assert cache.stat().st_size == size_after_first  # nothing re-appended
-    third = run_sweep([3], cache_path=cache, force=True)
-    assert third == first
-    assert cache.stat().st_size == 2 * size_after_first  # appended afresh
     assert load_cache(cache, class_keys(3)) == {r.key: r for r in first}
 
 
@@ -237,6 +234,8 @@ def test_load_cache_drops_tampered_lines(tmp_path):
         replace(target, code=" " + target.code.replace(";", " ; ") + " ;"),
         # a longer code that decodes, with the lengths raised to match
         replace(target, code="100;010;001", minrank=3, ell_star=3, gap=True),
+        # the same longer code with the line rebuilt from it: only minimality fails
+        replace(target, code="100;010;001", minrank=3, chromatic=4),
     ]
     for bad in tampered:
         cache.write_text(clean_lines.replace(target.to_line(), bad.to_line()))
@@ -275,7 +274,7 @@ def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_reco
 
 
 def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
-    # a --force run appends a second copy of every line
+    # two runs sharing one cache at once each append a copy of every line
     cache = tmp_path / "cache.txt"
     cache.write_text("".join(r.to_line() + "\n" for r in full_records) * 2)
     replayed = []
