@@ -9,10 +9,12 @@ read as XOR masks form a linear code of length equal to its rank.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations, product
+from operator import or_
 from typing import Iterable
 
-from indexcoding.graph import Digraph, subset_is_acyclic
+from indexcoding.graph import MAX_ENUM_VERTICES, Digraph, subset_is_acyclic
 
 
 def gf2_row_basis(rows: Iterable[int]) -> list[int]:
@@ -66,26 +68,89 @@ def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
 
 
-def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
-    """(minrank, fitting matrix of that rank) by branch and bound.
+@lru_cache(maxsize=None)
+def _containing(n: int, k: int) -> tuple[int, ...]:
+    """Per n-bit vector v, the k-dimensional subspaces of GF(2)^n that hold
+    v, as a bit set over the subspaces.  The subspaces are numbered by
+    their reduced echelon bases: one row per pivot p, with bit p set, the
+    other pivots' bits clear and any of the free bits below p."""
+    holders = [0] * (1 << n)
+    bases = []
+    for pivots in combinations(range(n), k):
+        taken = sum(1 << p for p in pivots)
+        bases += product(*([1 << p | low for low in range(1 << p) if not low & taken] for p in pivots))
+    for index, basis in enumerate(bases):
+        span = [0]
+        for row in basis:
+            span += [v ^ row for v in span]
+        for v in span:
+            holders[v] |= 1 << index
+    return tuple(holders)
 
-    Tries target ranks upward from known_mais, the caller's mais(g), below
-    which no fitting matrix has rank; per vertex the candidate rows are e_i
-    plus any subset of the prior set, tried in row-string order, so the
-    first matrix found is the string-lex smallest one of minimal rank.  The
-    span of the rows chosen so far is held as a 2^n-bit set, bit v set iff
-    the vector v lies in it, so membership is one shift and adding a row
-    is a union with the span's translate.  Under a fixed target, whether
-    the rows from vertex i on can complete the matrix depends only on
-    (i, span), the rank being log2 of the span's size; so each span that
-    fails at level i is recorded, in sets that start empty for each
-    target, and never searched again there.
-    """
+
+@lru_cache(maxsize=None)
+def _reach(n: int, k: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+    """Per vertex i and prior set r of i, indexed [i][r]: the k-dimensional
+    subspaces that hold some candidate row of i, as a bit set in the
+    numbering of _containing, and the candidates in row-string order, each
+    paired with the subspaces that hold it.  A set r holding i itself
+    shares the entry of r without i."""
+    holders = _containing(n, k)
+    table = []
+    for i in range(n):
+        entries = []
+        for prior in range(1 << n):
+            if prior >> i & 1:
+                entries.append(entries[prior ^ 1 << i])
+            else:
+                pairs = tuple((holders[cand], cand) for cand in _candidates(n, i, prior | 1 << i))
+                entries.append((reduce(or_, (held for held, _ in pairs)), pairs))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _fit_in_lattice(g: Digraph, target: int) -> tuple[int, ...] | None:
+    """The string-lex smallest fitting matrix of rank at most target, or
+    None.  The rows of such a matrix lie in some target-dimensional
+    subspace, so it exists iff some subspace holds a candidate row of every
+    vertex.  The live subspaces are those that hold the rows chosen so far
+    and meet every vertex's candidates; any one of them completes the
+    matrix, so each vertex in turn takes its first candidate that a live
+    subspace holds, the least row any completion has there, and the live
+    set shrinks to the subspaces holding it."""
+    table = _reach(g.n, target)
+    entries = [table[i][row] for i, row in enumerate(g.rows)]
+    live = -1
+    for reach, _ in entries:
+        live &= reach
+    if not live:
+        return None
+    rows = []
+    for _, pairs in entries:
+        for held, cand in pairs:
+            if held & live:
+                live &= held
+                rows.append(cand)
+                break
+    return tuple(rows)
+
+
+def _fit_by_search(g: Digraph, target: int) -> tuple[int, ...] | None:
+    """The first fitting matrix of rank at most target that a branch and
+    bound over the candidate rows finds, or None: the string-lex smallest,
+    since each vertex tries its candidates in row-string order.  The span
+    of the rows chosen so far is held as a 2^n-bit set, bit v set iff the
+    vector v lies in it, so membership is one shift and adding a row is a
+    union with the span's translate.  Whether the rows from vertex i on
+    can complete the matrix depends only on (i, span), the rank being
+    log2 of the span's size; so each span that fails at level i is
+    recorded and never searched again."""
     n = g.n
     candidates = [_candidates(n, i, g.rows[i] | 1 << i) for i in range(n)]
     moves = _translations(n)
+    failed: list[set[int]] = [set() for _ in range(n + 1)]
 
-    def dfs(i: int, span: int, rank: int, target: int) -> list[int] | None:
+    def dfs(i: int, span: int, rank: int) -> list[int] | None:
         if i == n:
             return []
         dead = failed[i + 1]
@@ -101,15 +166,31 @@ def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
                 continue
             if nxt in dead:
                 continue
-            tail = dfs(i + 1, nxt, nxt_rank, target)
+            tail = dfs(i + 1, nxt, nxt_rank)
             if tail is not None:
                 return [cand] + tail
         failed[i].add(span)
         return None
 
-    for target in range(known_mais, n + 1):
-        failed: list[set[int]] = [set() for _ in range(n + 1)]
-        rows = dfs(0, 1, 0, target)
+    rows = dfs(0, 1, 0)
+    return None if rows is None else tuple(rows)
+
+
+def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
+    """(minrank, fitting matrix of that rank).
+
+    Tries target ranks upward from known_mais, the caller's mais(g), below
+    which no fitting matrix has rank.  Per vertex the candidate rows are
+    e_i plus any subset of the prior set, and the matrix returned is the
+    string-lex smallest fitting one of minimal rank.  Up to
+    MAX_ENUM_VERTICES vertices a target is decided in the lattice of
+    subspaces of GF(2)^n (see _fit_in_lattice); above, where the lattice
+    grows to 200,787 four-dimensional subspaces at n = 8, by branch and
+    bound with a fresh set of failed spans per target (see _fit_by_search).
+    """
+    fit = _fit_in_lattice if g.n <= MAX_ENUM_VERTICES else _fit_by_search
+    for target in range(known_mais, g.n + 1):
+        rows = fit(g, target)
         if rows is not None:
-            return target, tuple(rows)
+            return target, rows
     raise AssertionError("identity matrix always fits, rank n is reachable")

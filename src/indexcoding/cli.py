@@ -76,7 +76,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"warning: n > {MAX_ENUM_VERTICES}, bounds-only record", file=sys.stderr)
     if args.format == "csv":
         print(REPORT_HEADER)
-        print(record.to_line())
+        print(record.line)
         return 0
     print(f"graph: {serialize_digraph(g)}")
     print(f"canonical key: {record.key.hex}")

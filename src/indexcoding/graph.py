@@ -71,7 +71,14 @@ class Digraph:
         return mask
 
     def edge_count(self) -> int:
-        return sum(self.edge_row(i).bit_count() for i in range(self.n)) // 2
+        """Half the arcs whose reverse is an arc: the rows and the columns,
+        each packed as n-bit fields (field i at shift i*n), ANDed."""
+        to_columns = _column_fields(self.n)
+        rows = columns = 0
+        for i, row in enumerate(self.rows):
+            rows |= row << i * self.n
+            columns |= to_columns[i][row]
+        return (rows & columns).bit_count() // 2
 
 
 class CanonicalKey(NamedTuple):
@@ -220,6 +227,14 @@ def categorize(g: Digraph) -> Category:
     if girth == 5:
         return Category.GIRTH_5
     raise ValueError(f"undirected girth {girth} outside the supported classification")
+
+
+@lru_cache(maxsize=None)
+def _column_fields(n: int) -> tuple[tuple[int, ...], ...]:
+    """_column_fields(n)[i][r] moves each arc i->j of r, the row of vertex
+    i, to bit i of the n-bit field j (bit j*n + i); ORed over the rows,
+    field j holds column j."""
+    return tuple(tuple(sum(1 << (j * n + i) for j in range(n) if r >> j & 1) for r in range(1 << n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)

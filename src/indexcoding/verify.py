@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -61,7 +62,10 @@ class VerificationRecord:
     def n(self) -> int:
         return self.key.n
 
-    def to_line(self) -> str:
+    @cached_property
+    def line(self) -> str:
+        """The record's report and cache line, rendered once; not a field,
+        so equality and hashing ignore it."""
         return ",".join(
             (
                 self.key.hex,
@@ -244,7 +248,7 @@ def run_sweep(
         tasks = [key for key in keys if key not in cached]
         for record in _analyze_keys(tasks, jobs):
             if sink is not None:
-                sink.write(record.to_line().encode() + b"\n")
+                sink.write(record.line.encode() + b"\n")
             records.append(record)
     records.sort(key=lambda r: r.key)
     return records
@@ -377,7 +381,7 @@ def verify_theorem(
 
 def report_text(records: Sequence[VerificationRecord]) -> str:
     lines = [REPORT_HEADER]
-    lines.extend(r.to_line() for r in sorted(records, key=lambda r: r.key))
+    lines.extend(r.line for r in sorted(records, key=lambda r: r.key))
     return "\n".join(lines) + "\n"
 
 

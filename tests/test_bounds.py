@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from indexcoding.bounds import gf2_row_basis, mais, minrank_witness
+from indexcoding.bounds import _containing, gf2_row_basis, mais, minrank_witness
 from indexcoding.graph import Digraph, digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
@@ -105,14 +105,28 @@ def test_minrank_witness_matches_pivot_reference():
     assert len(graphs) == 4165
     rng = random.Random(53)
     graphs += [digraph_from_code(5, rng.getrandbits(20)) for _ in range(1000)]
+    # then seeded graphs on 6-8 vertices at arc densities 0.3, 0.5 and 0.7,
+    # the only inputs here that take the branch and bound
+    rng = random.Random(61)
+    for n, count in ((6, 12), (7, 6), (8, 3)):
+        for k in range(count):
+            density = (0.3, 0.5, 0.7)[k % 3]
+            rows = tuple(sum(1 << j for j in range(n) if j != i and rng.random() < density) for i in range(n))
+            graphs.append(Digraph(n, rows))
+    gaps_above_five = 0
     for g in graphs:
         lo = mais(g)
-        assert minrank_witness(g, lo) == oracles.minrank_witness_pivots(g.n, g.rows, lo)
+        witness = minrank_witness(g, lo)
+        assert witness == oracles.minrank_witness_pivots(g.n, g.rows, lo)
+        gaps_above_five += g.n > 5 and witness[0] > lo
+    # a failed first target above five vertices, so a later one searches anew
+    assert gaps_above_five >= 1
 
 
 def test_minrank_witness_matches_pivot_reference_on_gap_classes(gap_records):
-    # on a gap class no matrix of rank mais fits, so the first target fails
-    # and the next one starts from fresh failed-span sets
+    # on a gap class no matrix of rank mais fits, so the first target fails:
+    # its live set is empty, as no subspace of that dimension meets every
+    # vertex's candidate rows
     rng = random.Random(59)
     assert len(gap_records) == 28
     for r in gap_records:
@@ -123,6 +137,32 @@ def test_minrank_witness_matches_pivot_reference_on_gap_classes(gap_records):
             lo = mais(g)
             assert lo < r.minrank
             assert minrank_witness(g, lo) == oracles.minrank_witness_pivots(5, g.rows, lo)
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of GF(2)^n."""
+    count = 1
+    for j in range(k):
+        count = count * ((1 << (n - j)) - 1) // ((1 << (j + 1)) - 1)
+    return count
+
+
+def test_containing_counts_every_subspace_once():
+    assert [gaussian_binomial(5, k) for k in range(6)] == [1, 31, 155, 155, 31, 1]
+    for n in range(1, 6):
+        for k in range(n + 1):
+            holders = _containing(n, k)
+            everything = (1 << gaussian_binomial(n, k)) - 1
+            # every subspace holds the zero vector
+            assert holders[0] == everything
+            # a nonzero vector lies in as many k-subspaces as there are
+            # (k-1)-subspaces of the quotient by it
+            per_vector = gaussian_binomial(n - 1, k - 1) if k else 0
+            assert all(h.bit_count() == per_vector for h in holders[1:])
+            # and the subspaces are distinct: no two hold the same vectors
+            members = [sum(1 << v for v, h in enumerate(holders) if h >> s & 1) for s in range(gaussian_binomial(n, k))]
+            assert len(set(members)) == len(members)
+            assert all(m.bit_count() == 1 << k for m in members)
 
 
 def test_minrank_witness_fits_and_has_witnessed_rank():

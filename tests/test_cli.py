@@ -42,7 +42,7 @@ def test_analyze_csv_matches_record(capsys):
     assert main(["analyze", "--graph", PENTAGON_TEXT, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == REPORT_HEADER
-    assert lines[1] == analyze(parse_digraph(PENTAGON_TEXT)).to_line()
+    assert lines[1] == analyze(parse_digraph(PENTAGON_TEXT)).line
 
 
 def test_analyze_single_vertex(capsys):
@@ -304,13 +304,13 @@ def test_verify_cache_speedup_same_output(tmp_path, capsys):
 
 def test_verify_recomputes_a_lowered_cached_class(tmp_path, capsys, full_records):
     cache = tmp_path / "cache.txt"
-    cache.write_text("".join(r.to_line() + "\n" for r in full_records))
+    cache.write_text("".join(r.line + "\n" for r in full_records))
     assert main(["verify", "--max-n", "5", "--cache", str(cache)]) == 0
     clean_out = capsys.readouterr().out
     pentagon = canonical_key(parse_digraph(PENTAGON_TEXT))
     cache.write_text("".join(
-        replace(r, minrank=2, ell_star=2, gap=False).to_line() + "\n" if r.key == pentagon
-        else r.to_line() + "\n"
+        replace(r, minrank=2, ell_star=2, gap=False).line + "\n" if r.key == pentagon
+        else r.line + "\n"
         for r in full_records
     ))
     report = tmp_path / "report.csv"

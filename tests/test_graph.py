@@ -119,6 +119,19 @@ def test_basic_accessors():
     assert g.edge_row(3) == 0
 
 
+def test_edge_count_counts_mutual_pairs():
+    # every labeled graph up to four vertices, every class representative
+    # up to five, then seeded graphs up to the largest supported order
+    graphs = [digraph_from_code(n, code) for n in (1, 2, 3, 4) for code in range(1 << (n * (n - 1)))]
+    graphs += [digraph_from_code(n, code) for n in range(1, 6) for code in orbit_table(n).reps]
+    assert len(graphs) == 4165 + 9846
+    rng = random.Random(71)
+    graphs += [random_digraph(rng, n) for n in range(6, graph.MAX_VERTICES + 1) for _ in range(50)]
+    for g in graphs:
+        pairs = sum(1 for i in range(g.n) for j in range(i) if g.rows[i] >> j & 1 and g.rows[j] >> i & 1)
+        assert g.edge_count() == pairs
+
+
 def test_acyclicity_matches_oracle_exhaustively_small():
     for n in (1, 2, 3):
         for code in range(1 << (n * (n - 1))):

@@ -88,7 +88,7 @@ def test_analyze_beyond_exact_range_is_bounds_only():
 
 def test_record_line_roundtrip():
     r = analyze(PENTAGON)
-    assert VerificationRecord.from_line(r.to_line()) == r
+    assert VerificationRecord.from_line(r.line) == r
     general = VerificationRecord(
         key=CanonicalKey(2, 3),
         arcs=2,
@@ -101,7 +101,7 @@ def test_record_line_roundtrip():
         chromatic=2,
         code="00 0;01 1;10 1;11 0",
     )
-    assert VerificationRecord.from_line(general.to_line()) == general
+    assert VerificationRecord.from_line(general.line) == general
     with pytest.raises(ValueError):
         VerificationRecord.from_line("0x0,1,0")
 
@@ -212,9 +212,9 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     ]
     keys = [r.key for r in full_records]
     for bad in uncertified:
-        cache.write_text(bad.to_line() + "\n")
+        cache.write_text(bad.line + "\n")
         assert load_cache(cache, keys) == {}
-    cache.write_text(good.to_line() + "\n")
+    cache.write_text(good.line + "\n")
     assert load_cache(cache, keys) == {good.key: good}
 
 
@@ -238,7 +238,7 @@ def test_load_cache_drops_tampered_lines(tmp_path):
         replace(target, code="100;010;001", minrank=3, chromatic=4),
     ]
     for bad in tampered:
-        cache.write_text(clean_lines.replace(target.to_line(), bad.to_line()))
+        cache.write_text(clean_lines.replace(target.line, bad.line))
         assert load_cache(cache, class_keys(1, 2, 3)) == {r.key: r for r in clean if r != target}
         assert report_text(run_sweep([1, 2, 3], cache_path=cache)) == clean_report
 
@@ -249,18 +249,18 @@ def test_load_cache_replays_the_chromatic_number(tmp_path, full_records):
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.key.hex, good.chromatic, good.ell_star) == ("0x356ac", 8, 3)
     forged = replace(good, chromatic=4, ell_star=2, gap=False)
-    cache.write_text(forged.to_line() + "\n")
+    cache.write_text(forged.line + "\n")
     assert load_cache(cache, [good.key]) == {}
     # chi 5 keeps the bit width, so ell_star and gap still match the line
     edited = replace(good, chromatic=5)
-    cache.write_text("".join((edited if r == good else r).to_line() + "\n" for r in full_records))
+    cache.write_text("".join((edited if r == good else r).line + "\n" for r in full_records))
     assert load_cache(cache, [good.key]) == {}
     assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
 
 
 def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_records):
     cache = tmp_path / "cache.txt"
-    cache.write_text("".join(r.to_line() + "\n" for r in full_records))
+    cache.write_text("".join(r.line + "\n" for r in full_records))
     replayed = []
     certified = verify._certified
 
@@ -276,7 +276,7 @@ def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_reco
 def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     # two runs sharing one cache at once each append a copy of every line
     cache = tmp_path / "cache.txt"
-    cache.write_text("".join(r.to_line() + "\n" for r in full_records) * 2)
+    cache.write_text("".join(r.line + "\n" for r in full_records) * 2)
     replayed = []
     certified = verify._certified
 
