@@ -4,7 +4,6 @@ from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import (
     CodeFormatError,
     LinearCode,
-    is_valid_code,
     linear_code_from_matrix,
     parse_code,
     serialize_code,
@@ -58,7 +57,6 @@ __all__ = [
     "chromatic_number",
     "digraph_from_key",
     "enumerate_nonisomorphic",
-    "is_valid_code",
     "linear_code_from_matrix",
     "load_cache",
     "mais",

@@ -142,10 +142,6 @@ def receiver_decodes(g: Digraph, code: Code) -> list[bool]:
     return [not any(confounds(g, i, z) for z in collisions) for i in range(g.n)]
 
 
-def is_valid_code(g: Digraph, code: Code) -> bool:
-    return all(receiver_decodes(g, code))
-
-
 @lru_cache(maxsize=None)
 def _row_texts(n: int) -> tuple[str, ...]:
     """bits_from_mask(mask, n) for every n-bit mask, indexed by mask."""

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from indexcoding.bounds import mais, minrank_witness
-from indexcoding.codec import LinearCode, is_valid_code, linear_code_from_matrix, parse_code, serialize_code
+from indexcoding.codec import linear_code_from_matrix, serialize_code
 from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
@@ -119,27 +119,23 @@ class SweepSummary:
 def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecord:
     """Measure one graph: bounds, exact length, category, witness code.
 
-    Equal bounds settle the length by the sandwich alone.  Otherwise the
-    confusion graph is colored exactly and the length is the bit width of
-    its chromatic number, recorded alongside.  Beyond five vertices the
-    record is bounds-only: ell_star and gap are left at 0.  The code is
-    always the minrank witness; on n <= 5 the theorem makes it optimal, and
-    a class where it is not shows up as a violation in `summarize`.  For a
-    g that is not its class representative, the code is the witness in g's
-    own labeling, so the record (the `analyze --format csv` line) is not a
-    cache line, and the cache rejects it.
+    This is the one derivation of a record; a cold sweep writes what it
+    returns, and a cache line is reused only if it equals it.  minrank is
+    the length of the minrank witness code.  Equal bounds settle the
+    length by the sandwich alone.  Otherwise the confusion graph is colored
+    exactly and the length is the bit width of its chromatic number,
+    recorded alongside.  Beyond five vertices the record is bounds-only:
+    ell_star and gap are left at 0.  On n <= 5 the theorem makes the
+    witness code optimal, and a class where it is not shows up as a
+    violation in `summarize`.  For a g that is not its class
+    representative, the code is the witness in g's own labeling, so the
+    record (the `analyze --format csv` line) is not a cache line, and the
+    cache rejects it.
     """
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
-    witness = minrank_witness(g, lo)[1]
-    return _record(g, key, lo, linear_code_from_matrix(g.n, witness))
-
-
-def _record(g: Digraph, key: CanonicalKey, lo: int, code: LinearCode) -> VerificationRecord:
-    """The one derivation of a record from its graph, mais and code:
-    minrank is the code's length, and where the bounds differ on n <= 5
-    the confusion graph is colored exactly for the chromatic number."""
+    code = linear_code_from_matrix(g.n, minrank_witness(g, lo)[1])
     hi = code.length
     chromatic = 0
     if lo != hi and g.n <= MAX_ENUM_VERTICES:
@@ -164,30 +160,20 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
 
 
 def _certified(record: VerificationRecord) -> bool:
-    """True iff the record's code is as long as its ell_star, parses and
-    decodes for its class, and the builder, given the class, a fresh mais
-    and that code, rebuilds the record exactly, chromatic number included.
-    The rebuild derives ell_star exactly, and a decoding linear code of
-    length L bounds minrank by L, so ell_star <= minrank <= L = ell_star:
-    a kept code is minimal."""
-    if record.minrank != record.ell_star:
-        return False
-    g = digraph_from_key(record.key)
-    try:
-        code = parse_code(record.code)
-        rebuilt = _record(g, record.key, mais(g), code)
-        return rebuilt == record and is_valid_code(g, code)
-    except ValueError:
-        return False
+    """True iff the record equals, field for field, the record a cold run
+    builds for its key, so a reused line is the line a cold run writes."""
+    return record == _analyze_key(record.key)
 
 
 def load_cache(
     path: str | Path, keys: Iterable[CanonicalKey]
 ) -> dict[CanonicalKey, VerificationRecord]:
-    """Record lines for the given keys, keyed by canonical key; later lines
-    win.  Lines for other keys, and lines equal to the record already kept
-    for their key, are skipped without a replay; torn, malformed, non-UTF-8
-    or uncertified lines are skipped too, so a crashed run's cache still
+    """Record lines for the given keys, keyed by canonical key.  A line is
+    kept only if it equals the record a cold run builds for its key, so
+    the records returned are those a cold run would return.  Lines for
+    other keys, and lines equal to the record already kept for their key,
+    are skipped without a replay; torn, malformed, non-UTF-8 or
+    uncertified lines are skipped too, so a crashed run's cache still
     loads and a stale or edited class is recomputed."""
     wanted = set(keys)
     cache: dict[CanonicalKey, VerificationRecord] = {}
@@ -230,11 +216,13 @@ def run_sweep(
     orders: Iterable[int], jobs: int = 1, cache_path: str | Path | None = None
 ) -> list[VerificationRecord]:
     """Analyze every isomorphism class of the given orders, sorted by
-    canonical key.  Cached keys are reused.  The cache is
-    opened before any analysis, so a bad path fails at once, and each fresh
-    record is appended as it arrives, so an interrupted run keeps its work.
-    The keys are read from the orbit tables, so each uncached class
-    representative is built once, by its analysis.  Analysis of distinct
+    canonical key.  A cached line is reused only if it equals the record
+    its analysis builds, so the records, and the report bytes, are a cold
+    run's for any cache content.  The cache is opened before any
+    analysis, so a bad path fails at once, and each fresh record is
+    appended as it arrives, so an interrupted run keeps its work.  The keys
+    are read from the orbit tables, so each uncached class representative
+    is built once, by its analysis.  Analysis of distinct
     graphs is independent, so jobs > 1 fans out over a process pool; the
     merge order is fixed by the final sort, making reports identical for
     any worker count."""

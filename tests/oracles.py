@@ -7,7 +7,8 @@ via full fitting-matrix enumeration (and, as the reference for the minrank
 search, a pivot-dict branch and bound), isomorphism via
 permutation search, confusability straight from the decoding definition,
 chromatic numbers via independent-set cover DP, and alpha via naive
-recursion.
+recursion.  Canonical keys and code text are read by their definitions,
+without the package's parsers.
 
 Graphs are passed as (n, rows) with bit j of rows[i] meaning arc i->j.
 """
@@ -245,6 +246,34 @@ def confusion_adjacency(n: int, rows: tuple[int, ...]) -> list[int]:
         sum(1 << v for v in range(size) if confusable(n, rows, u, v))
         for u in range(size)
     ]
+
+
+def rows_from_key(n: int, code: int) -> tuple[int, ...]:
+    """The graph a canonical key names: the key is the row-major adjacency
+    bit string, diagonal skipped, read as a binary number whose first char
+    is the most significant bit."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rows = [0] * n
+    for (i, j), bit in zip(pairs, format(code, f"0{len(pairs)}b")):
+        if bit == "1":
+            rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def parse_linear(text: str) -> tuple[int, tuple[int, ...]]:
+    """A linear code's text read by its definition: one row per output bit,
+    rows joined by ";", char j of a row the coefficient of message j+1.
+    Returns the message count and the row masks."""
+    texts = text.split(";")
+    n = len(texts[0])
+    if any(len(t) != n or set(t) - {"0", "1"} for t in texts):
+        raise ValueError(f"not a linear code: {text!r}")
+    return n, tuple(sum(1 << j for j, ch in enumerate(t) if ch == "1") for t in texts)
+
+
+def linear_encoder(rows: tuple[int, ...]):
+    """Output bit r is the parity of the messages row r selects."""
+    return lambda x: tuple([(row & x).bit_count() % 2 for row in rows])
 
 
 def decodes(n: int, rows: tuple[int, ...], encode) -> bool:

@@ -14,7 +14,6 @@ from indexcoding.codec import (
     bits_from_mask,
     code_from_coloring,
     coloring_from_code,
-    is_valid_code,
     linear_code_from_matrix,
     mask_from_bits,
     parse_code,
@@ -62,7 +61,7 @@ def test_linear_code_from_matrix_length_is_rank():
     code = linear_code_from_matrix(4, rows)
     assert code.length == rank == 2
     assert all(row in rows for row in code.rows)
-    assert is_valid_code(FIG, code)
+    assert all(receiver_decodes(FIG, code))
 
 
 def test_code_from_coloring_relabels_compactly():
@@ -143,7 +142,7 @@ def test_validity_matches_decode_oracle_on_random_codes():
             code = GeneralCode(
                 n, length, tuple(rng.getrandbits(length) for _ in range(1 << n))
             )
-        assert is_valid_code(g, code) == oracles.decodes(n, g.rows, code.encode)
+        assert all(receiver_decodes(g, code)) == oracles.decodes(n, g.rows, code.encode)
 
 
 def test_validity_iff_proper_coloring_exhaustive_two_messages():
@@ -153,7 +152,7 @@ def test_validity_iff_proper_coloring_exhaustive_two_messages():
         for length in (1, 2):
             for rows in product(range(4), repeat=length):
                 code = LinearCode(2, rows)
-                valid = is_valid_code(g, code)
+                valid = all(receiver_decodes(g, code))
                 proper = oracles.proper_coloring(list(cg.adj), coloring_from_code(code))
                 assert valid == proper
                 seen[valid] += 1
@@ -165,12 +164,12 @@ def test_colorings_convert_to_valid_codes():
     coloring = find_coloring(cg, 8)
     code = code_from_coloring(5, coloring)
     assert code.length == 3
-    assert is_valid_code(PENTAGON, code)
+    assert all(receiver_decodes(PENTAGON, code))
     # breaking one color class breaks validity
     mutated = list(coloring)
     u = next(v for v in range(32) if cg.adj[0] >> v & 1)
     mutated[u] = mutated[0]
-    assert not is_valid_code(PENTAGON, code_from_coloring(5, mutated))
+    assert not all(receiver_decodes(PENTAGON, code_from_coloring(5, mutated)))
 
 
 def test_serialize_parse_roundtrip_linear():

@@ -206,6 +206,7 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         replace(good, code="10x01"),  # code does not parse
         replace(good, code="1000;0100;0010"),  # code for four messages
         replace(good, code=old_general_form),  # "tuple codeword" text, no longer read
+        replace(good, code="11001;01001;00110"),  # another minimal code that decodes
         # right for the relabeled graph, but its key is not a canonical key
         analyze(moved, key=CanonicalKey(5, adjacency_code(moved))),
         analyze(digraph_from_key(hexagon), key=hexagon),  # order outside 1..5
@@ -216,6 +217,10 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         assert load_cache(cache, keys) == {}
     cache.write_text(good.line + "\n")
     assert load_cache(cache, keys) == {good.key: good}
+    # a full cache holding the other minimal code still gives the cold report
+    other = replace(good, code="11001;01001;00110")
+    cache.write_text("".join((other if r == good else r).line + "\n" for r in full_records))
+    assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
 
 
 def test_load_cache_drops_tampered_lines(tmp_path):
@@ -406,6 +411,7 @@ def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "analyze", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep([4], cache_path=cache)
+    monkeypatch.undo()  # the load replays each line through analyze
     assert list(load_cache(cache, class_keys(4))) == done
 
 
