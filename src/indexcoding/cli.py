@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from indexcoding.bounds import mais
@@ -153,7 +154,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process, so repeated `main` calls pay for parsing and
+    analysis alone.  `parse_args` leaves it unchanged; callers must not
+    mutate it (add arguments, set defaults) either."""
     parser = argparse.ArgumentParser(
         prog="indexcoding",
         description="Exact optimal zero-error index codelengths on side-information graphs",

@@ -171,10 +171,11 @@ def load_cache(
     """Record lines for the given keys, keyed by canonical key.  A line is
     kept only if it equals the record a cold run builds for its key, so
     the records returned are those a cold run would return.  Lines for
-    other keys, and lines equal to the record already kept for their key,
-    are skipped without a replay; torn, malformed, non-UTF-8 or
-    uncertified lines are skipped too, so a crashed run's cache still
-    loads and a stale or edited class is recomputed."""
+    other keys, and any further line for a key whose record is already
+    kept (only one line can equal the cold record), are skipped without a
+    replay; torn, malformed, non-UTF-8 or uncertified lines are skipped
+    too, so a crashed run's cache still loads and a stale or edited class
+    is recomputed."""
     wanted = set(keys)
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
@@ -185,7 +186,7 @@ def load_cache(
             record = VerificationRecord.from_line(raw.decode())
         except ValueError:  # UnicodeDecodeError included
             continue
-        if record.key in wanted and cache.get(record.key) != record and _certified(record):
+        if record.key in wanted and record.key not in cache and _certified(record):
             cache[record.key] = record
     return cache
 

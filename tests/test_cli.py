@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -18,14 +19,82 @@ from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
 K4_TEXT = "n 4 ; 1-2 1-3 1-4 2-3 2-4 3-4"
+# the gap core 0x355ad under the relabeling 1->3, 2->5, 3->1, 4->4, 5->2
+GAP_CORE_TEXT = "n 5 ; 3-4 2-3 1-5 2-5 1->2 4->1 2->4"
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_cli_import_leaves_the_pool_module_unloaded():
     # only a sweep with jobs > 1 imports multiprocessing
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = "import sys, indexcoding.cli; assert 'multiprocessing' not in sys.modules, 'loaded'"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    proc = _fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first main call, not at import
+    probe = "import indexcoding.cli as cli; assert cli.build_parser.cache_info().currsize == 0, 'built'"
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["classify", "--graph", "n 1"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["find-code", "--graph", PENTAGON_TEXT]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys):
+    argv = ["find-code", "--graph", PENTAGON_TEXT]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    for bad in (["find-code"], ["verify", "--jobs", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_options_do_not_leak_between_calls(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(FIG_TEXT + "\n")
+    assert main(["find-code", "--graph", PENTAGON_TEXT, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "10000;01010;00101\n"
+    # neither the csv format nor the inline graph carries over
+    assert main(["find-code", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ell_star: 2\ncode (linear, length 2):\n") and out.count(": ok") == 4
+
+
+def test_shared_parser_answers_like_a_fresh_interpreter(capsys):
+    assert canonical_key(parse_digraph(GAP_CORE_TEXT)).hex == "0x355ad"
+    assert main(["classify", "--graph", FIG_TEXT, "--format", "csv"]) == 0
+    with pytest.raises(SystemExit):
+        main(["find-code"])
+    capsys.readouterr()
+    for text in (PENTAGON_TEXT, GAP_CORE_TEXT):
+        for fmt in ("human", "csv"):
+            argv = ["find-code", "--graph", text, "--format", fmt]
+            cold = _fresh_python("-m", "indexcoding.cli", *argv)
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (cold.returncode, cold.stdout, cold.stderr)
 
 
 def test_analyze_human(capsys):

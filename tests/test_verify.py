@@ -280,6 +280,7 @@ def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_reco
 
 def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     # two runs sharing one cache at once each append a copy of every line
+    order3 = [r for r in full_records if r.n == 3]
     cache = tmp_path / "cache.txt"
     cache.write_text("".join(r.line + "\n" for r in full_records) * 2)
     replayed = []
@@ -290,7 +291,13 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
         return certified(record)
 
     monkeypatch.setattr(verify, "_certified", counted)
-    assert run_sweep([3], cache_path=cache) == [r for r in full_records if r.n == 3]
+    assert run_sweep([3], cache_path=cache) == order3
+    assert len(replayed) == 16
+    # only one line per key can equal the cold record, so once a key's record
+    # is kept, a later line for it is not replayed even when it differs
+    replayed.clear()
+    cache.write_text("".join(r.line + "\n" for r in order3 + [replace(r, arcs=r.arcs + 1) for r in order3]))
+    assert run_sweep([3], cache_path=cache) == order3
     assert len(replayed) == 16
 
 
