@@ -14,7 +14,7 @@ from itertools import combinations, product
 from operator import or_
 from typing import Iterable
 
-from indexcoding.graph import MAX_ENUM_VERTICES, Digraph, subset_is_acyclic
+from indexcoding.graph import Digraph, subset_is_acyclic
 
 
 def gf2_row_basis(rows: Iterable[int]) -> list[int]:
@@ -57,15 +57,6 @@ def _candidates(n: int, i: int, allowed: int) -> tuple[int, ...]:
     """Rows for vertex i: e_i plus any subset of the other allowed
     columns, in row-string order."""
     return tuple(m for m in _row_string_order(n) if m >> i & 1 and not m & ~allowed)
-
-
-@lru_cache(maxsize=None)
-def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per n-bit vector c, the masked swaps that move a set of n-bit
-    vectors, held as a 2^n-bit mask, by c: one (1 << j, mask of the
-    vectors with bit j clear) per bit j of c, swapping the two halves."""
-    halves = [(1 << j, sum(1 << v for v in range(1 << n) if not v >> j & 1)) for j in range(n)]
-    return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
 
 
 @lru_cache(maxsize=None)
@@ -135,62 +126,17 @@ def _fit_in_lattice(g: Digraph, target: int) -> tuple[int, ...] | None:
     return tuple(rows)
 
 
-def _fit_by_search(g: Digraph, target: int) -> tuple[int, ...] | None:
-    """The first fitting matrix of rank at most target that a branch and
-    bound over the candidate rows finds, or None: the string-lex smallest,
-    since each vertex tries its candidates in row-string order.  The span
-    of the rows chosen so far is held as a 2^n-bit set, bit v set iff the
-    vector v lies in it, so membership is one shift and adding a row is a
-    union with the span's translate.  Whether the rows from vertex i on
-    can complete the matrix depends only on (i, span), the rank being
-    log2 of the span's size; so each span that fails at level i is
-    recorded and never searched again."""
-    n = g.n
-    candidates = [_candidates(n, i, g.rows[i] | 1 << i) for i in range(n)]
-    moves = _translations(n)
-    failed: list[set[int]] = [set() for _ in range(n + 1)]
-
-    def dfs(i: int, span: int, rank: int) -> list[int] | None:
-        if i == n:
-            return []
-        dead = failed[i + 1]
-        for cand in candidates[i]:
-            if span >> cand & 1:
-                nxt, nxt_rank = span, rank
-            elif rank < target:
-                moved = span
-                for shift, low in moves[cand]:
-                    moved = (moved & low) << shift | (moved >> shift) & low
-                nxt, nxt_rank = span | moved, rank + 1
-            else:
-                continue
-            if nxt in dead:
-                continue
-            tail = dfs(i + 1, nxt, nxt_rank)
-            if tail is not None:
-                return [cand] + tail
-        failed[i].add(span)
-        return None
-
-    rows = dfs(0, 1, 0)
-    return None if rows is None else tuple(rows)
-
-
 def minrank_witness(g: Digraph, known_mais: int) -> tuple[int, tuple[int, ...]]:
     """(minrank, fitting matrix of that rank).
 
     Tries target ranks upward from known_mais, the caller's mais(g), below
     which no fitting matrix has rank.  Per vertex the candidate rows are
     e_i plus any subset of the prior set, and the matrix returned is the
-    string-lex smallest fitting one of minimal rank.  Up to
-    MAX_ENUM_VERTICES vertices a target is decided in the lattice of
-    subspaces of GF(2)^n (see _fit_in_lattice); above, where the lattice
-    grows to 200,787 four-dimensional subspaces at n = 8, by branch and
-    bound with a fresh set of failed spans per target (see _fit_by_search).
+    string-lex smallest fitting one of minimal rank.  Each target is
+    decided in the lattice of subspaces of GF(2)^n (see _fit_in_lattice).
     """
-    fit = _fit_in_lattice if g.n <= MAX_ENUM_VERTICES else _fit_by_search
     for target in range(known_mais, g.n + 1):
-        rows = fit(g, target)
+        rows = _fit_in_lattice(g, target)
         if rows is not None:
             return target, rows
     raise AssertionError("identity matrix always fits, rank n is reachable")

@@ -16,7 +16,6 @@ from indexcoding.bounds import mais
 from indexcoding.codec import parse_code, receiver_decodes
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
-    Category,
     Digraph,
     GraphFormatError,
     categorize,
@@ -73,8 +72,6 @@ def _linear_row_terms(row: int, n: int) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     record = analyze(g)
-    if g.n > MAX_ENUM_VERTICES:
-        print(f"warning: n > {MAX_ENUM_VERTICES}, bounds-only record", file=sys.stderr)
     if args.format == "csv":
         print(REPORT_HEADER)
         print(record.line)
@@ -84,10 +81,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"n: {record.n}  arcs: {record.arcs}  edges: {record.edges}")
     print(f"mais: {record.mais}")
     print(f"minrank: {record.minrank}")
-    if record.ell_star:
-        print(f"ell_star: {record.ell_star}")
-    else:
-        print(f"ell_star: n/a ({record.mais} <= ell_star <= {record.minrank}, exact value needs n <= {MAX_ENUM_VERTICES})")
+    print(f"ell_star: {record.ell_star}")
     print(f"gap: {'yes' if record.gap else 'no'}")
     print(f"category: {record.category if record.category else 'n/a'}")
     print(f"chromatic: {record.chromatic if record.chromatic else 'n/a'}")
@@ -113,9 +107,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_find_code(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if g.n > MAX_ENUM_VERTICES:
-        print(f"error: exact code search needs n <= {MAX_ENUM_VERTICES}", file=sys.stderr)
-        return 2
     record = analyze(g)
     code = parse_code(record.code)
     decodes = receiver_decodes(g, code)
@@ -135,20 +126,14 @@ def cmd_find_code(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     girth = undirected_girth(g)
-    try:
-        category: Category | None = categorize(g)
-    except ValueError:
-        category = None
+    category = categorize(g)
     lo = mais(g)
     applies = g.n == 5 and lo == 2
     if args.format == "csv":
-        print(f"{girth or 0},{int(category) if category else 0}")
+        print(f"{girth or 0},{int(category)}")
         return 0
     print(f"girth: {girth if girth is not None else 'none'}")
-    if category is None:
-        print("category: n/a (undirected girth above 5)")
-    else:
-        print(f"category: {int(category)} ({category.name})")
+    print(f"category: {int(category)} ({category.name})")
     print(f"mais: {lo}")
     print(f"five-vertex mais-2 classification applies: {'yes' if applies else 'no'}")
     return 0

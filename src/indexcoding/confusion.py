@@ -13,10 +13,11 @@ u xor v lies in a difference set, so it is built once from that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from indexcoding.bounds import _translations, mais, minrank_witness
-from indexcoding.graph import MAX_ENUM_VERTICES, Digraph
+from indexcoding.bounds import mais, minrank_witness
+from indexcoding.graph import Digraph
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,15 @@ def find_coloring(cg: ConfusionGraph, k: int) -> tuple[int, ...] | None:
 
 def is_k_colorable(cg: ConfusionGraph, k: int) -> bool:
     return chromatic_number(cg) <= k
+
+
+@lru_cache(maxsize=None)
+def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per n-bit vector c, the masked swaps that move a set of n-bit
+    vectors, held as a 2^n-bit mask, by c: one (1 << j, mask of the
+    vectors with bit j clear) per bit j of c, swapping the two halves."""
+    halves = [(1 << j, sum(1 << v for v in range(1 << n) if not v >> j & 1)) for j in range(n)]
+    return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
 
 
 def _maximum_independent_sets(adj: Sequence[int], nv: int) -> tuple[int, ...]:
@@ -221,6 +231,4 @@ def ell_star(g: Digraph) -> int:
     lo = mais(g)
     if lo == minrank_witness(g, lo)[0]:
         return lo
-    if g.n > MAX_ENUM_VERTICES:
-        raise ValueError(f"exact codelength between differing bounds needs n <= {MAX_ENUM_VERTICES}")
     return (chromatic_number(build_confusion(g)) - 1).bit_length()

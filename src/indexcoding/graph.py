@@ -4,10 +4,10 @@ A side-information graph has one vertex per receiver; an arc i->j records
 that receiver i already knows message j, and a mutual arc pair {i->j, j->i}
 is drawn as an edge i-j.  Adjacency lives in per-vertex bitmasks so the
 subset-heavy work (acyclicity sweeps, isomorphism orbits over all vertex
-permutations) stays cheap at the supported sizes: n <= 8 for single-graph
-queries, exhaustive enumeration up to n = 5.  Up to n = 5 an orbit table
-maps every labeled adjacency code to its isomorphism class, so sweeps can
-look classes up instead of canonicalizing graph by graph.
+permutations) stays cheap at the supported sizes, n = 1..5, which the
+certifier covers exhaustively.  An orbit table maps every labeled
+adjacency code to its isomorphism class, so sweeps can look classes up
+instead of canonicalizing graph by graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from functools import lru_cache
 from operator import or_
 from typing import Iterator, NamedTuple
 
-MAX_VERTICES = 8
 MAX_ENUM_VERTICES = 5
 
 _TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$", re.ASCII)
@@ -45,8 +44,8 @@ class Digraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside supported range 1..{MAX_VERTICES}")
+        if not 1 <= self.n <= MAX_ENUM_VERTICES:
+            raise ValueError(f"vertex count {self.n} outside supported range 1..{MAX_ENUM_VERTICES}")
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -123,8 +122,8 @@ def parse_digraph(text: str) -> Digraph:
         got = tokens[1] if len(tokens) > 1 else "<end>"
         raise GraphFormatError(f"token 2: expected vertex count, got {got!r}")
     n = int(tokens[1])
-    if not 1 <= n <= MAX_VERTICES:
-        raise GraphFormatError(f"token 2: vertex count {n} outside supported range 1..{MAX_VERTICES}")
+    if not 1 <= n <= MAX_ENUM_VERTICES:
+        raise GraphFormatError(f"token 2: vertex count {n} outside supported range 1..{MAX_ENUM_VERTICES}")
     rest = tokens[2:]
     first_pos = 3
     if rest and rest[0] == ";":
@@ -217,6 +216,8 @@ def undirected_girth(g: Digraph) -> int | None:
 
 
 def categorize(g: Digraph) -> Category:
+    """Category by undirected girth; on at most five vertices a cycle has
+    at most five edges, so every graph falls in one of the four."""
     girth = undirected_girth(g)
     if girth is None:
         return Category.NO_UNDIRECTED_CYCLE
@@ -224,9 +225,7 @@ def categorize(g: Digraph) -> Category:
         return Category.GIRTH_3
     if girth == 4:
         return Category.GIRTH_4
-    if girth == 5:
-        return Category.GIRTH_5
-    raise ValueError(f"undirected girth {girth} outside the supported classification")
+    return Category.GIRTH_5
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +299,6 @@ def _perm_chunk_rows(n: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
     single all-zero row when the code has 10 bits or fewer).  Each row is
     built by doubling: the row of v is the row of v without its lowest bit
     ORed with that bit's row."""
-    if n > MAX_ENUM_VERTICES:
-        raise ValueError("relabeling rows are built only for enumerable sizes")
     nbits = n * (n - 1)
     maps = _perm_bit_maps(n)
     bit_rows = [array("I", [1 << m[bit] for m in maps]) for bit in range(nbits)]
@@ -322,26 +319,12 @@ def _relabelings(n: int, code: int) -> Iterator[int]:
     return map(or_, low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS])
 
 
-def _apply_bit_map(code: int, bit_map: tuple[int, ...]) -> int:
-    out = 0
-    while code:
-        b = (code & -code).bit_length() - 1
-        out |= 1 << bit_map[b]
-        code &= code - 1
-    return out
-
-
 def canonical_key(g: Digraph) -> CanonicalKey:
     """Minimal adjacency code over all n! relabelings; equal keys <=> isomorphic.
 
     Computed directly, never through the orbit table: a single query
     should not pay for the 2^(n(n-1))-entry sweep."""
-    code = adjacency_code(g)
-    if g.n <= MAX_ENUM_VERTICES:
-        best = min(_relabelings(g.n, code))
-    else:
-        best = min(_apply_bit_map(code, bit_map) for bit_map in _perm_bit_maps(g.n))
-    return CanonicalKey(g.n, best)
+    return CanonicalKey(g.n, min(_relabelings(g.n, adjacency_code(g))))
 
 
 class OrbitTable(NamedTuple):
@@ -397,7 +380,7 @@ def embeds_arc_deleted(a: Digraph, b: Digraph) -> bool:
     """True iff some relabeling of a has its arc set contained in b's.
 
     That makes a (a relabeling of) an arc-deleted subgraph of b: same
-    vertices, a subset of the arcs.  Orders above five raise ValueError.
+    vertices, a subset of the arcs.
     """
     if a.n != b.n:
         return False

@@ -42,9 +42,9 @@ class VerificationRecord:
     """Everything measured about one isomorphism class.
 
     The canonical key pins the class and decodes back to its representative,
-    so records are self-contained.  ell_star and gap are 0 for bounds-only
-    records (n > 5); category is set only for n = 5, mais = 2; chromatic is
-    0 unless the confusion graph was actually colored.
+    so records are self-contained.  category is set only for n = 5,
+    mais = 2; chromatic is 0 unless the confusion graph was actually
+    colored.
     """
 
     key: CanonicalKey
@@ -124,23 +124,21 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     the length of the minrank witness code.  Equal bounds settle the
     length by the sandwich alone.  Otherwise the confusion graph is colored
     exactly and the length is the bit width of its chromatic number,
-    recorded alongside.  Beyond five vertices the record is bounds-only:
-    ell_star and gap are left at 0.  On n <= 5 the theorem makes the
-    witness code optimal, and a class where it is not shows up as a
-    violation in `summarize`.  For a g that is not its class
-    representative, the code is the witness in g's own labeling, so the
-    record (the `analyze --format csv` line) is not a cache line, and the
-    cache rejects it.
+    recorded alongside.  The theorem makes the witness code optimal, and a
+    class where it is not shows up as a violation in `summarize`.  For a g
+    that is not its class representative, the code is the witness in g's
+    own labeling, so the record (the `analyze --format csv` line) is not a
+    cache line, and the cache rejects it.
     """
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
     code = linear_code_from_matrix(g.n, minrank_witness(g, lo)[1])
     hi = code.length
-    chromatic = 0
-    if lo != hi and g.n <= MAX_ENUM_VERTICES:
+    chromatic, ell = 0, lo
+    if lo != hi:
         chromatic = chromatic_number(build_confusion(g))
-    ell = lo if lo == hi else max(chromatic - 1, 0).bit_length()
+        ell = (chromatic - 1).bit_length()
     return VerificationRecord(
         key=key,
         arcs=g.arc_count(),
@@ -148,7 +146,7 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         mais=lo,
         minrank=hi,
         ell_star=ell,
-        gap=bool(ell) and ell > lo,
+        gap=ell > lo,
         category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
         chromatic=chromatic,
         code=serialize_code(code),
@@ -270,9 +268,7 @@ def summarize(records: Sequence[VerificationRecord]) -> SweepSummary:
     for r in records:
         counts[r.n] = counts.get(r.n, 0) + 1
     gaps = [r for r in records if r.gap]
-    violations = tuple(
-        r.key for r in records if r.n <= MAX_ENUM_VERTICES and r.ell_star != r.minrank
-    )
+    violations = tuple(r.key for r in records if r.ell_star != r.minrank)
     maximal = maximal_gap_classes(gaps)
     return SweepSummary(
         class_counts=tuple(sorted(counts.items())),

@@ -127,13 +127,6 @@ def test_analyze_reads_input_file(tmp_path, capsys):
     assert "ell_star: 2" in capsys.readouterr().out
 
 
-def test_analyze_bounds_only_warns_beyond_five(capsys):
-    assert main(["analyze", "--graph", "n 6 ; 1-3 3-5 5-2 2-4 4-1"]) == 0
-    captured = capsys.readouterr()
-    assert "bounds-only" in captured.err
-    assert "ell_star: n/a" in captured.out
-
-
 def test_analyze_parse_error_exits_2(capsys):
     assert main(["analyze", "--graph", "n 4 ; 1->9"]) == 2
     assert "token" in capsys.readouterr().err
@@ -266,13 +259,6 @@ def test_classify_csv(capsys):
     assert capsys.readouterr().out.strip() == "5,4"
 
 
-def test_classify_girth_six(capsys):
-    assert main(["classify", "--graph", "n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6"]) == 0
-    out = capsys.readouterr().out
-    assert "girth: 6" in out
-    assert "category: n/a" in out
-
-
 def test_find_code_complete_graph(capsys):
     assert main(["find-code", "--graph", K4_TEXT]) == 0
     out = capsys.readouterr().out
@@ -301,11 +287,6 @@ def test_find_code_pentagon_csv(capsys):
     assert code.length == 3
 
 
-def test_find_code_rejects_large_orders(capsys):
-    assert main(["find-code", "--graph", "n 6"]) == 2
-    assert "n <= 5" in capsys.readouterr().err
-
-
 def test_verify_small(capsys):
     assert main(["verify", "--max-n", "3"]) == 0
     out = capsys.readouterr().out
@@ -321,6 +302,20 @@ def test_verify_max_n_usage_error(capsys):
         main(["verify", "--max-n", "6"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["--graph", "--input"])
+@pytest.mark.parametrize("command", ["analyze", "find-code", "classify"])
+def test_orders_above_five_exit_2(command, source, tmp_path, capsys):
+    text = "n 6 ; 1-2"
+    if source == "--input":
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        text = str(path)
+    assert main([command, source, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: token 2: vertex count 6 outside supported range 1..5\n"
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_non_ascii_and_non_decimal_numbers_exit_2_without_a_traceback(capsys):

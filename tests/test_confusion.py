@@ -228,12 +228,3 @@ def test_ell_star_agrees_with_analyze(full_records):
     for r in records:
         assert ell_star(digraph_from_key(r.key)) == r.ell_star
     assert ell_star(PENTAGON) == analyze(PENTAGON).ell_star
-
-
-def test_ell_star_large_orders():
-    complete6 = parse_digraph("n 6 ; " + " ".join(f"{i}-{j}" for i in range(1, 7) for j in range(i + 1, 7)))
-    assert ell_star(complete6) == 1
-    # pentagon plus an isolated vertex leaves the bounds apart at n=6
-    apart = parse_digraph("n 6 ; 1-3 3-5 5-2 2-4 4-1")
-    with pytest.raises(ValueError):
-        ell_star(apart)

@@ -101,6 +101,8 @@ def test_digraph_validation():
     with pytest.raises(ValueError):
         Digraph(0, ())
     with pytest.raises(ValueError):
+        Digraph(6, (0,) * 6)
+    with pytest.raises(ValueError):
         Digraph(9, (0,) * 9)
     with pytest.raises(ValueError):
         Digraph(2, (0,))
@@ -120,13 +122,11 @@ def test_basic_accessors():
 
 
 def test_edge_count_counts_mutual_pairs():
-    # every labeled graph up to four vertices, every class representative
-    # up to five, then seeded graphs up to the largest supported order
+    # every labeled graph up to four vertices, then every class
+    # representative up to five, the largest supported order
     graphs = [digraph_from_code(n, code) for n in (1, 2, 3, 4) for code in range(1 << (n * (n - 1)))]
     graphs += [digraph_from_code(n, code) for n in range(1, 6) for code in orbit_table(n).reps]
     assert len(graphs) == 4165 + 9846
-    rng = random.Random(71)
-    graphs += [random_digraph(rng, n) for n in range(6, graph.MAX_VERTICES + 1) for _ in range(50)]
     for g in graphs:
         pairs = sum(1 for i in range(g.n) for j in range(i) if g.rows[i] >> j & 1 and g.rows[j] >> i & 1)
         assert g.edge_count() == pairs
@@ -142,7 +142,7 @@ def test_acyclicity_matches_oracle_exhaustively_small():
 def test_acyclicity_matches_oracle_sampled():
     rng = random.Random(3)
     for _ in range(200):
-        g = random_digraph(rng, rng.randint(4, 6))
+        g = random_digraph(rng, rng.randint(4, 5))
         assert subset_is_acyclic(g, (1 << g.n) - 1) == oracles.acyclic(g.n, g.rows)
 
 
@@ -174,11 +174,17 @@ def test_girth_and_category(text, girth, category):
     assert categorize(g) == category
 
 
-def test_girth_six_is_outside_categories():
-    hexagon = parse_digraph("n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6")
-    assert undirected_girth(hexagon) == 6
-    with pytest.raises(ValueError):
-        categorize(hexagon)
+def test_categorize_is_total_on_the_supported_range():
+    # a cycle on at most five vertices has at most five edges, so every
+    # class representative gets one of the four categories
+    girths = {}
+    for n in range(1, 6):
+        for code in orbit_table(n).reps:
+            g = digraph_from_code(n, code)
+            girth = undirected_girth(g)
+            girths[girth] = girths.get(girth, 0) + 1
+            assert categorize(g) in Category
+    assert girths == {None: 8117, 3: 1427, 4: 272, 5: 30}
 
 
 def test_one_way_arcs_do_not_close_undirected_cycles():
@@ -189,7 +195,7 @@ def test_one_way_arcs_do_not_close_undirected_cycles():
 def test_adjacency_code_roundtrip():
     rng = random.Random(13)
     for _ in range(60):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 5)
         g = random_digraph(rng, n)
         assert digraph_from_code(n, adjacency_code(g)) == g
     with pytest.raises(ValueError):
@@ -209,7 +215,7 @@ def test_adjacency_code_orders_like_row_major_bit_string():
 
     graphs = [Digraph(n, rows) for n in range(1, 4) for rows in product(*row_choices(n))]
     rng = random.Random(29)
-    for n in range(4, 9):
+    for n in range(4, 6):
         graphs += [Digraph(n, tuple(rng.choice(c) for c in row_choices(n))) for _ in range(20)]
     for g in graphs:
         code = int(bit_string(g) or "0", 2)
@@ -250,12 +256,6 @@ def test_canonical_key_separates_all_three_vertex_classes():
     assert len(keys) == 16
 
 
-def test_canonical_key_beyond_enumeration_sizes():
-    g = parse_digraph("n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6 1->4")
-    perm = (3, 0, 4, 1, 5, 2)
-    assert canonical_key(relabel(g, perm)) == canonical_key(g)
-
-
 def test_enumeration_counts_and_canonical_order():
     assert sum(1 for _ in enumerate_nonisomorphic(1)) == 1
     assert sum(1 for _ in enumerate_nonisomorphic(2)) == 3
@@ -278,9 +278,10 @@ def test_chunk_rows_give_every_relabeling_in_permutation_order():
     rng = random.Random(71)
     for n in (1, 2, 3, 4, 5):
         codes = range(1 << (n * (n - 1))) if n <= 4 else [rng.getrandbits(20) for _ in range(2000)]
-        maps = graph._perm_bit_maps(n)
+        perms = list(permutations(range(n)))
         for code in codes:
-            expected = [graph._apply_bit_map(code, m) for m in maps]
+            rows = oracles.rows_from_key(n, code)
+            expected = [adjacency_code(Digraph(n, oracles.relabel(n, rows, perm))) for perm in perms]
             assert list(graph._relabelings(n, code)) == expected
 
 
@@ -372,5 +373,3 @@ def test_embeds_arc_deleted_matches_oracle():
         assert embeds_arc_deleted(a, b) == oracles.embeds(n, a.rows, b.rows)
         assert embeds_arc_deleted(b, a) == oracles.embeds(n, b.rows, a.rows)
     assert not embeds_arc_deleted(parse_digraph("n 2 ; 1-2"), parse_digraph("n 3"))
-    with pytest.raises(ValueError):
-        embeds_arc_deleted(parse_digraph("n 6"), parse_digraph("n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6"))

@@ -76,16 +76,6 @@ def test_analyze_pentagon():
     assert oracles.decodes(5, PENTAGON.rows, code.encode)
 
 
-def test_analyze_beyond_exact_range_is_bounds_only():
-    g = parse_digraph("n 6 ; 1-3 3-5 5-2 2-4 4-1")
-    r = analyze(g)
-    assert r.ell_star == 0 and not r.gap and r.chromatic == 0
-    assert r.mais == 3 and r.minrank == 4
-    code = parse_code(r.code)
-    assert code.length == r.minrank
-    assert oracles.decodes(6, g.rows, code.encode)
-
-
 def test_record_line_roundtrip():
     r = analyze(PENTAGON)
     assert VerificationRecord.from_line(r.line) == r
@@ -197,7 +187,6 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     old_general_form = ";".join(f"{bits_from_mask(x, 5)} {bits_from_mask(cw, 3)}" for x, cw in enumerate(table))
     moved = Digraph(5, oracles.relabel(5, digraph_from_key(good.key).rows, (1, 0, 2, 3, 4)))
     assert adjacency_code(moved) != good.key.key
-    hexagon = canonical_key(parse_digraph("n 6 ; 1-2 2-3 3-4 4-5 5-6 1-6"))
     uncertified = [
         replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
         replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
@@ -209,7 +198,8 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         replace(good, code="11001;01001;00110"),  # another minimal code that decodes
         # right for the relabeled graph, but its key is not a canonical key
         analyze(moved, key=CanonicalKey(5, adjacency_code(moved))),
-        analyze(digraph_from_key(hexagon), key=hexagon),  # order outside 1..5
+        # order outside 1..5: a six-cycle
+        VerificationRecord.from_line("0x6533298,6,12,6,3,3,3,0,0,0,100001;010100;001010"),
     ]
     keys = [r.key for r in full_records]
     for bad in uncertified:
