@@ -10,11 +10,11 @@ read as XOR masks form a linear code of length equal to its rank.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterable
 
-from indexcoding.graph import Digraph, subset_is_acyclic
+from indexcoding.graph import Digraph
 
 
 def gf2_row_basis(rows: Iterable[int]) -> list[int]:
@@ -34,15 +34,43 @@ def gf2_row_basis(rows: Iterable[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _masks_largest_first(n: int) -> tuple[int, ...]:
-    """The nonempty n-bit masks, by popcount from n down to 1."""
-    return tuple(sorted(range(1, 1 << n), key=int.bit_count, reverse=True))
+def _acyclic_orders(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The ordered subsets (S, order) of range(n), larger S first, and per
+    vertex i and out-neighbour set r of i, indexed [i][r], the bit set of
+    those where i is outside S or every arc of i into S points to a vertex
+    before i in the order.  ANDed over a graph's vertices, that leaves the
+    (S, order) where every arc inside S points backward, so S induces an
+    acyclic subgraph; every acyclic S has such an order.  The first part
+    gives S by bit index."""
+    ordered = [order for size in range(n, 0, -1) for order in permutations(range(n), size)]
+    subsets = tuple(sum(1 << v for v in order) for order in ordered)
+    # per vertex: the bits of the (S, order), grouped by the vertices of S
+    # after the vertex in the order (none when the vertex is outside S)
+    by_forbidden: list[dict[int, int]] = [{} for _ in range(n)]
+    for index, order in enumerate(ordered):
+        forbidden = [0] * n
+        later = 0
+        for v in reversed(order):
+            forbidden[v] = later
+            later |= 1 << v
+        for groups, f in zip(by_forbidden, forbidden):
+            groups[f] = groups.get(f, 0) | 1 << index
+    table = tuple(
+        tuple(reduce(or_, (bits for forbidden, bits in groups.items() if not forbidden & r), 0) for r in range(1 << n))
+        for groups in by_forbidden
+    )
+    return subsets, table
 
 
 def mais(g: Digraph) -> int:
-    """Order of a largest acyclic induced subgraph: the first acyclic
-    subset, trying larger subsets first (a single vertex always is)."""
-    return next(mask.bit_count() for mask in _masks_largest_first(g.n) if subset_is_acyclic(g, mask))
+    """Order of a largest acyclic induced subgraph: the largest S left by
+    ANDing the vertices' entries of _acyclic_orders (a single vertex always
+    is acyclic, so one is left)."""
+    subsets, table = _acyclic_orders(g.n)
+    live = -1
+    for entries, row in zip(table, g.rows):
+        live &= entries[row]
+    return subsets[(live & -live).bit_length() - 1].bit_count()
 
 
 @lru_cache(maxsize=None)

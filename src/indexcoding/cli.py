@@ -139,6 +139,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# command name -> its parser, filled in once, when build_parser builds the tree
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -173,11 +177,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_classify)
 
+    _COMMAND_PARSERS.update(sub.choices)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, or the same usage
+    error.  The top-level parser would only hand argv[1:] to the command's
+    parser, so a known command goes there directly; anything else, and a
+    command line the command's parser leaves arguments of, goes through
+    the top-level parser, which reports them with its own usage."""
+    parser = build_parser()
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (GraphFormatError, OSError, UnicodeDecodeError) as exc:

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple
 
 MAX_ENUM_VERTICES = 5
@@ -287,30 +287,39 @@ def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
+class _ChunkRows(dict):
+    """Relabeling rows of one chunk of the adjacency code, by chunk value,
+    each built on first use.  The row of value v is the row of v without
+    its lowest bit ORed with that bit's row, so a missing row costs at most
+    one array pass per set bit, fewer when the rows it rests on exist."""
+
+    def __init__(self, bit_rows: list[array], perms: int):
+        super().__init__({0: array("I", [0]) * perms})
+        self._bit_rows = bit_rows
+
+    def __missing__(self, value: int) -> array:
+        if not 0 < value < 1 << len(self._bit_rows):
+            raise KeyError(value)
+        low = value & -value
+        row = self[value] = array("I", map(or_, self[value ^ low], self._bit_rows[low.bit_length() - 1]))
+        return row
+
+
 @lru_cache(maxsize=None)
-def _perm_chunk_rows(n: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
+def _perm_chunk_rows(n: int) -> tuple[_ChunkRows, _ChunkRows]:
     """Relabeling rows indexed by chunk value, so the images of an adjacency
     code under all n! permutations are one C-level pass over two rows.
 
     low[v][p] is the image of the low 10-bit chunk v under permutation p of
     _perm_bit_maps(n), high[v][p] that of the high chunk v; the image of a
     code is low[code & 0x3ff][p] | high[code >> 10][p].  n <= 5 means at
-    most 20 code bits, so two chunks always cover the code (high is the
-    single all-zero row when the code has 10 bits or fewer).  Each row is
-    built by doubling: the row of v is the row of v without its lowest bit
-    ORed with that bit's row."""
+    most 20 code bits, so two chunks always cover the code (high holds only
+    the all-zero row when the code has 10 bits or fewer).  A row is built
+    when it is first read, so a single query builds a few and a sweep all."""
     nbits = n * (n - 1)
     maps = _perm_bit_maps(n)
     bit_rows = [array("I", [1 << m[bit] for m in maps]) for bit in range(nbits)]
-    halves = []
-    for base in (0, _CHUNK_BITS):
-        width = max(0, min(_CHUNK_BITS, nbits - base))
-        rows = [array("I", [0]) * len(maps)]
-        for value in range(1, 1 << width):
-            low = value & -value
-            rows.append(array("I", map(or_, rows[value ^ low], bit_rows[base + low.bit_length() - 1])))
-        halves.append(tuple(rows))
-    return halves[0], halves[1]
+    return _ChunkRows(bit_rows[:_CHUNK_BITS], len(maps)), _ChunkRows(bit_rows[_CHUNK_BITS:], len(maps))
 
 
 def _relabelings(n: int, code: int) -> Iterator[int]:
@@ -319,12 +328,41 @@ def _relabelings(n: int, code: int) -> Iterator[int]:
     return map(or_, low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS])
 
 
+@lru_cache(maxsize=None)
+def _least_row_gathers(n: int) -> tuple[tuple[itemgetter | None, ...], ...]:
+    """_least_row_gathers(n)[v][r] picks, from a relabeling row, the
+    permutations that put vertex v, with out-neighbour set r, at label 0
+    and r on the top |r| labels.  Row 0 is the code's most significant
+    field, and it reads 2^|r| - 1 exactly under those permutations, the
+    least a vertex of out-degree |r| can give; so the least code over all
+    relabelings is the least over those of the vertices of least
+    out-degree.  Each gather repeats its first position, so even a lone
+    one returns a tuple; a set r holding v itself has no gather."""
+    picks: list[list[list[int]]] = [[[] for _ in range(1 << n)] for _ in range(n)]
+    for p, perm in enumerate(itertools.permutations(range(n))):
+        first = perm.index(0)
+        for d in range(n):
+            picks[first][sum(1 << v for v in range(n) if perm[v] >= n - d)].append(p)
+    return tuple(tuple(itemgetter(*ps, ps[0]) if ps else None for ps in rows) for rows in picks)
+
+
 def canonical_key(g: Digraph) -> CanonicalKey:
     """Minimal adjacency code over all n! relabelings; equal keys <=> isomorphic.
 
     Computed directly, never through the orbit table: a single query
-    should not pay for the 2^(n(n-1))-entry sweep."""
-    return CanonicalKey(g.n, min(_relabelings(g.n, adjacency_code(g))))
+    should not pay for the 2^(n(n-1))-entry sweep.  Only the relabelings
+    that can give the minimum are read (see _least_row_gathers)."""
+    code = adjacency_code(g)
+    low, high = _perm_chunk_rows(g.n)
+    low_row, high_row = low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS]
+    least = min(map(int.bit_count, g.rows))
+    lows: list[int] = []
+    highs: list[int] = []
+    for gathers, row in zip(_least_row_gathers(g.n), g.rows):
+        if row.bit_count() == least:
+            lows += gathers[row](low_row)
+            highs += gathers[row](high_row)
+    return CanonicalKey(g.n, min(map(or_, lows, highs)))
 
 
 class OrbitTable(NamedTuple):

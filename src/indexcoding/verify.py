@@ -5,7 +5,7 @@ to five vertices and confirms that the exact optimal codelength equals
 minrank, i.e. linear codes are optimal there.  Companion checks cover the
 supporting claims: the mais >= n-2 squeeze, monotonicity under added
 side information, the structural conditions forced by mais = 2 on five
-vertices, and the two maximal bound-gap classes.
+vertices, and the two arc-minimal gap cores.
 """
 
 from __future__ import annotations

@@ -6,7 +6,14 @@ import pytest
 
 import oracles
 from indexcoding.bounds import _containing, gf2_row_basis, mais, minrank_witness
-from indexcoding.graph import Digraph, digraph_from_code, digraph_from_key, enumerate_nonisomorphic, parse_digraph
+from indexcoding.graph import (
+    Digraph,
+    digraph_from_code,
+    digraph_from_key,
+    enumerate_nonisomorphic,
+    parse_digraph,
+    subset_is_acyclic,
+)
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
@@ -71,6 +78,18 @@ def test_mais_matches_oracle_exhaustively_small():
 def test_mais_matches_oracle_all_four_vertex_classes():
     for g in enumerate_nonisomorphic(4):
         assert mais(g) == oracles.mais_order(4, g.rows)
+
+
+def test_mais_table_matches_the_largest_first_acyclic_search():
+    # the search mais replaced: the first acyclic subset, larger subsets
+    # first, on every class representative
+    classes = 0
+    for n in range(1, 6):
+        masks = sorted(range(1, 1 << n), key=int.bit_count, reverse=True)
+        for g in enumerate_nonisomorphic(n):
+            assert mais(g) == next(m.bit_count() for m in masks if subset_is_acyclic(g, m))
+            classes += 1
+    assert classes == 9846
 
 
 def test_mais_spot_values():

@@ -42,6 +42,20 @@ def test_cli_import_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_one_find_code_call_builds_few_relabeling_rows():
+    # rows are built on first read, so a single query does not pay for the
+    # 2048 a sweep reads
+    probe = (
+        "import contextlib, io, indexcoding.cli as cli, indexcoding.graph as graph\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['find-code', '--graph', {PENTAGON_TEXT!r}]) == 0\n"
+        "built = sum(map(len, graph._perm_chunk_rows(5)))\n"
+        "assert built < 64, built\n"
+    )
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
     assert main(["classify", "--graph", "n 1"]) == 0
@@ -95,6 +109,36 @@ def test_shared_parser_answers_like_a_fresh_interpreter(capsys):
             rc = main(argv)
             captured = capsys.readouterr()
             assert (rc, captured.out, captured.err) == (cold.returncode, cold.stdout, cold.stderr)
+
+
+# per graph command: a valid call, no graph source, both sources, an
+# unrecognized extra argument, help
+_GRAPH_CALLS = ([], ["--graph", FIG_TEXT, "--input", "g.txt"], ["--graph", FIG_TEXT, "extra"], ["-h"])
+ROUTING_CASES = [
+    *([command, *call] for command in ("analyze", "find-code", "classify") for call in (["--graph", FIG_TEXT], *_GRAPH_CALLS)),
+    ["verify", "--max-n", "2"],
+    ["verify", "--max-n", "9"],
+    ["verify", "--max-n", "2", "extra"],
+    ["verify", "-h"],
+    ["-h"],
+    ["bogus"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTING_CASES, ids=lambda argv: " ".join(argv).replace(FIG_TEXT, "G") or "<empty>")
+def test_routed_parse_answers_like_a_fresh_interpreter(argv, monkeypatch, capsys):
+    # main hands a known command's arguments to that command's parser; the
+    # status and both streams must be what the full parse in a fresh
+    # interpreter gives (help is wrapped at COLUMNS, so both get the same)
+    monkeypatch.setenv("COLUMNS", "80")
+    cold = _fresh_python("-m", "indexcoding.cli", *argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (cold.returncode, cold.stdout, cold.stderr)
 
 
 def test_analyze_human(capsys):

@@ -256,6 +256,18 @@ def test_canonical_key_separates_all_three_vertex_classes():
     assert len(keys) == 16
 
 
+def test_canonical_key_is_the_least_code_over_every_relabeling():
+    # canonical_key reads only the relabelings that put a vertex of least
+    # out-degree at label 0; the key is the least code over all n! of them
+    for n in (1, 2, 3, 4):
+        for code in range(1 << (n * (n - 1))):
+            assert canonical_key(digraph_from_code(n, code)) == CanonicalKey(n, min(graph._relabelings(n, code)))
+    rng = random.Random(73)
+    for rep in orbit_table(5).reps:
+        g = relabel(digraph_from_code(5, rep), tuple(rng.sample(range(5), 5)))
+        assert canonical_key(g) == CanonicalKey(5, min(graph._relabelings(5, adjacency_code(g)))) == (5, rep)
+
+
 def test_enumeration_counts_and_canonical_order():
     assert sum(1 for _ in enumerate_nonisomorphic(1)) == 1
     assert sum(1 for _ in enumerate_nonisomorphic(2)) == 3
@@ -270,11 +282,16 @@ def test_enumeration_counts_and_canonical_order():
 
 
 def test_chunk_rows_give_every_relabeling_in_permutation_order():
+    # rows are built on first read: every chunk value reads a row, and a
+    # value past the chunk's width is no key
     for n in (1, 2, 3, 4, 5):
         low, high = graph._perm_chunk_rows(n)
         nbits = n * (n - 1)
-        assert len(low) == 1 << min(nbits, 10) and len(high) == 1 << max(nbits - 10, 0)
-        assert all(row.typecode == "I" and len(row) == factorial(n) for row in low + high)
+        for rows, width in ((low, min(nbits, 10)), (high, max(nbits - 10, 0))):
+            for value in range(1 << width):
+                assert rows[value].typecode == "I" and len(rows[value]) == factorial(n)
+            with pytest.raises(KeyError):
+                rows[1 << width]
     rng = random.Random(71)
     for n in (1, 2, 3, 4, 5):
         codes = range(1 << (n * (n - 1))) if n <= 4 else [rng.getrandbits(20) for _ in range(2000)]
