@@ -6,8 +6,8 @@ is drawn as an edge i-j.  Adjacency lives in per-vertex bitmasks so the
 subset-heavy work (acyclicity sweeps, isomorphism orbits over all vertex
 permutations) stays cheap at the supported sizes, n = 1..5, which the
 certifier covers exhaustively.  An orbit table maps every labeled
-adjacency code to its isomorphism class, so sweeps can look classes up
-instead of canonicalizing graph by graph.
+adjacency code to its isomorphism class, so sweeps look up classes, and
+the one-arc steps between them, instead of canonicalizing graph by graph.
 """
 
 from __future__ import annotations
@@ -247,13 +247,19 @@ def _row_fields(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _field_of_row(n: int) -> tuple[dict[int, int], ...]:
+    """Inverse of _row_fields: _field_of_row(n)[i][_row_fields(n)[i][f]] == f."""
+    return tuple({row: f for f, row in enumerate(fields)} for fields in _row_fields(n))
+
+
 def adjacency_code(g: Digraph) -> int:
     """Row-major adjacency bit-string (diagonal skipped) packed so that
     integer order equals lexicographic order of the string: row i is the
     (n-1)-bit field at shift (n-1)(n-1-i)."""
     code = 0
-    for fields, row in zip(_row_fields(g.n), g.rows):
-        code = code << (g.n - 1) | fields.index(row)
+    for fields, row in zip(_field_of_row(g.n), g.rows):
+        code = code << (g.n - 1) | fields[row]
     return code
 
 
@@ -405,6 +411,19 @@ def orbit_table(n: int) -> OrbitTable:
             classes[image] = index
 
 
+@lru_cache(maxsize=None)
+def classes_above(n: int) -> tuple[array, ...]:
+    """classes_above(n)[c] holds, per arc absent from the representative of
+    class c, the class of the representative with that arc added, repeats
+    kept: 96,080 steps at n = 5.  A relabeling carries (g, i->j) to
+    (rep, pi(i)->pi(j)), so these are the one-arc steps up from any member
+    of c, and the classes reached upward from c are those holding c as an
+    arc-deleted subgraph."""
+    classes, reps = orbit_table(n)
+    bits = [1 << b for b in range(n * (n - 1))]
+    return tuple(array("H", [classes[rep | bit] for bit in bits if not rep & bit]) for rep in reps)
+
+
 def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
     """One representative per isomorphism class, ascending canonical key;
     each representative's adjacency code is its class key."""
@@ -413,14 +432,3 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:
     for code in orbit_table(n).reps:
         yield digraph_from_code(n, code)
 
-
-def embeds_arc_deleted(a: Digraph, b: Digraph) -> bool:
-    """True iff some relabeling of a has its arc set contained in b's.
-
-    That makes a (a relabeling of) an arc-deleted subgraph of b: same
-    vertices, a subset of the arcs.
-    """
-    if a.n != b.n:
-        return False
-    outside_b = ~adjacency_code(b)
-    return any(not image & outside_b for image in _relabelings(a.n, adjacency_code(a)))

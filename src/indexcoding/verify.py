@@ -3,9 +3,10 @@
 The headline check sweeps every non-isomorphic side-information graph up
 to five vertices and confirms that the exact optimal codelength equals
 minrank, i.e. linear codes are optimal there.  Companion checks cover the
-supporting claims: the mais >= n-2 squeeze, monotonicity under added
-side information, the structural conditions forced by mais = 2 on five
-vertices, and the two arc-minimal gap cores.
+supporting claims: the mais >= n-2 squeeze, the structural conditions
+forced by mais = 2 on five vertices, and two reads of one arc-inclusion
+relation between classes: monotonicity under added side information and
+the two arc-minimal gap cores.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from indexcoding.graph import (
     Digraph,
     canonical_key,
     categorize,
+    classes_above,
     digraph_from_key,
-    embeds_arc_deleted,
     orbit_table,
     subset_is_acyclic,
 )
@@ -242,25 +243,24 @@ def run_sweep(
 
 
 def maximal_gap_classes(gap_records: Sequence[VerificationRecord]) -> list[VerificationRecord]:
-    """Core gap classes: those not containing another gap class as a proper
-    arc-deleted subgraph.
+    """Core gap classes, in input order: those with no other gap class
+    among their arc-deleted subgraphs.
 
-    Deleting arcs removes side information, so these cores are the
-    arc-minimal gap classes.  Every gap class degrades onto one of them by
-    arc deletion; that holds by construction (follow proper embeddings down,
-    each losing arcs, until none is left), not by a separate check.
-    Distinct classes of equal order can only embed with strictly fewer
-    arcs, so distinctness alone makes an embedding proper."""
-    graphs = {r.key: digraph_from_key(r.key) for r in gap_records}
-    out = []
-    for r in gap_records:
-        reducible = any(
-            s.key != r.key and embeds_arc_deleted(graphs[s.key], graphs[r.key])
-            for s in gap_records
-        )
-        if not reducible:
-            out.append(r)
-    return out
+    Deleting arcs removes side information, so these are the arc-minimal
+    gap classes, and every gap class degrades onto one of them.  Classes
+    are visited by ascending arc count, and one is marked when a class one
+    arc below it (see classes_above) is a gap or marked; the cores are the
+    unmarked gaps.  That is exact over the down-closure for any record set."""
+    marked: dict[int, bytearray] = {}
+    for n in {r.n for r in gap_records}:
+        classes, reps = orbit_table(n)
+        gaps = {classes[r.key.key] for r in gap_records if r.n == n}
+        above = marked[n] = bytearray(len(reps))
+        for c in sorted(range(len(reps)), key=lambda c: reps[c].bit_count()):
+            if above[c] or c in gaps:
+                for up in classes_above(n)[c]:
+                    above[up] = 1
+    return [r for r in gap_records if not marked[r.n][orbit_table(r.n).classes[r.key.key]]]
 
 
 def summarize(records: Sequence[VerificationRecord]) -> SweepSummary:
@@ -292,30 +292,19 @@ def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord]) -> bool
 def check_monotonicity(n: int, records: Sequence[VerificationRecord]) -> bool:
     """True iff adding one side-information arc never increases ell_star.
 
-    Exhaustive: for every order-n class representative and every absent
-    arc, the class of the enlarged graph is looked up in the orbit table
-    and the two ell_star values are read from the sweep records.  Since a
-    relabeling carries (g, i->j) to (rep, pi(i)->pi(j)) and ell_star is a
-    class invariant, this covers every labeled graph and every absent arc.
+    Exhaustive: every one-arc step of classes_above(n), with both ell_star
+    values read from the sweep records.  Since ell_star is a class
+    invariant, this covers every labeled graph and every absent arc.
     """
     if not 2 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"monotonicity check supports 2..{MAX_ENUM_VERTICES} vertices, got {n}")
-    table = orbit_table(n)
+    reps = orbit_table(n).reps
     ell = {r.key.key: r.ell_star for r in records if r.n == n}
-    missing = [code for code in table.reps if code not in ell]
+    missing = [code for code in reps if code not in ell]
     if missing:
         raise ValueError(f"no record for {len(missing)} order-{n} classes, first 0x{missing[0]:x}")
-    by_class = [ell[code] for code in table.reps]
-    classes = table.classes
-    full = (1 << (n * (n - 1))) - 1
-    for rep, base in zip(table.reps, by_class):
-        absent = full & ~rep
-        while absent:
-            bit = absent & -absent
-            absent ^= bit
-            if by_class[classes[rep | bit]] > base:
-                return False
-    return True
+    by_class = [ell[code] for code in reps]
+    return all(by_class[up] <= base for base, ups in zip(by_class, classes_above(n)) for up in ups)
 
 
 def check_structural_conditions(records: Sequence[VerificationRecord]) -> bool:

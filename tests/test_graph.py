@@ -16,9 +16,9 @@ from indexcoding.graph import (
     adjacency_code,
     canonical_key,
     categorize,
+    classes_above,
     digraph_from_code,
     digraph_from_key,
-    embeds_arc_deleted,
     enumerate_nonisomorphic,
     orbit_table,
     parse_digraph,
@@ -376,17 +376,20 @@ def test_canonical_key_hex():
     assert CanonicalKey(5, 0x356AC).hex == "0x356ac"
 
 
-def test_embeds_arc_deleted_matches_oracle():
-    rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        b = random_digraph(rng, n)
-        # guaranteed-positive case: delete arcs from a relabeling of b
-        kept = Digraph(n, tuple(row & rng.getrandbits(n) for row in b.rows))
-        sub = relabel(kept, tuple(rng.sample(range(n), n)))
-        assert embeds_arc_deleted(sub, b)
-        # random pair, checked both ways against the oracle
-        a = random_digraph(rng, n)
-        assert embeds_arc_deleted(a, b) == oracles.embeds(n, a.rows, b.rows)
-        assert embeds_arc_deleted(b, a) == oracles.embeds(n, b.rows, a.rows)
-    assert not embeds_arc_deleted(parse_digraph("n 2 ; 1-2"), parse_digraph("n 3"))
+def test_classes_above_is_the_one_arc_inclusion_relation():
+    # a lower class a and an upper class b are one step apart iff b has one
+    # arc more and some relabeling of a lies inside b
+    for n in range(1, 5):
+        graphs = [digraph_from_code(n, code) for code in orbit_table(n).reps]
+        steps = classes_above(n)
+        assert [len(ups) for ups in steps] == [n * (n - 1) - g.arc_count() for g in graphs]
+        expected = {
+            (a, b)
+            for a, ga in enumerate(graphs)
+            for b, gb in enumerate(graphs)
+            if gb.arc_count() == ga.arc_count() + 1 and oracles.embeds(n, ga.rows, gb.rows)
+        }
+        assert {(a, b) for a, ups in enumerate(steps) for b in ups} == expected
+    steps = classes_above(5)
+    assert sum(map(len, steps)) == 96_080
+    assert len({(a, b) for a, ups in enumerate(steps) for b in ups}) == 89_216

@@ -291,20 +291,35 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     assert len(replayed) == 16
 
 
-def test_summarize_and_maximal_classes_on_crafted_family():
-    # chain under arc deletion: empty < single arc < edge (all marked gap)
-    def rec(key_code, arcs, edges):
-        return VerificationRecord(
-            key=CanonicalKey(2, key_code), arcs=arcs, edges=edges,
-            mais=2, minrank=2, ell_star=2, gap=True, category=0, chromatic=0, code="10;01",
-        )
+def gap_record(n, key_code, arcs, edges):
+    return VerificationRecord(
+        key=CanonicalKey(n, key_code), arcs=arcs, edges=edges,
+        mais=2, minrank=2, ell_star=2, gap=True, category=0, chromatic=0, code="10;01",
+    )
 
-    empty, arc, edge = rec(0, 0, 0), rec(2, 1, 0), rec(3, 2, 1)
+
+def test_summarize_and_maximal_classes_on_crafted_family():
+    # chain under arc deletion at n = 2: empty < single arc < edge (all marked gap)
+    empty, arc, edge = gap_record(2, 0x0, 0, 0), gap_record(2, 0x1, 1, 0), gap_record(2, 0x3, 2, 1)
+    texts = ("n 2", "n 2 ; 1->2", "n 2 ; 1-2")
+    assert [r.key for r in (empty, arc, edge)] == [canonical_key(parse_digraph(t)) for t in texts]
     cores = maximal_gap_classes([empty, arc, edge])
     assert cores == [empty]
     summary = summarize([empty, arc, edge])
     assert summary.gap_count == 3
     assert summary.maximal_gap_keys == (empty.key,)
+
+
+def test_maximal_classes_are_minimal_over_the_down_closure():
+    # not convex: the single arc between the empty graph and the edge is no
+    # gap, so the edge has no gap one arc below it, yet the empty graph lies
+    # two arcs below and the edge is no core
+    empty, edge = gap_record(2, 0x0, 0, 0), gap_record(2, 0x3, 2, 1)
+    assert maximal_gap_classes([edge, empty]) == [empty]
+    # orders are kept apart, and the cores come back in input order
+    empty3 = gap_record(3, 0x0, 0, 0)
+    assert maximal_gap_classes([edge, empty3, empty]) == [empty3, empty]
+    assert maximal_gap_classes([]) == []
 
 
 def test_check_lemma_small_orders():
