@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep all classes up to --max-n and check every claim")
     p.add_argument("--max-n", type=_max_n_arg, default=MAX_ENUM_VERTICES)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes (at least 1)")
+    p.add_argument(
+        "--jobs", type=_jobs_arg, default=1, help="worker processes (at least 1; at most one per CPU and per 64 classes)"
+    )
     p.add_argument("--out", metavar="PATH", help="write the record report here")
     p.add_argument("--cache", metavar="PATH", help="append-only record cache")
     p.set_defaults(func=cmd_verify)

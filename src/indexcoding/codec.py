@@ -5,17 +5,17 @@ for a side-information graph when every receiver can always recover its
 wanted message from the codeword plus its own priors, i.e. no two tuples
 that agree on receiver i's priors but differ in bit i share a codeword.
 
-Code text is linear only: one row mask string per output bit, written
-low index first, so char j of a row is the coefficient of message j+1,
-and rows joined by ";".  Table codes (GeneralCode, code_from_coloring)
-have no text form; only tests and perfbench/traced.py use them.
+Only linear codes are decoded here, and code text is linear only: one row
+mask string per output bit, written low index first, so char j of a row
+is the coefficient of message j+1, and rows joined by ";".  Table codes
+(GeneralCode, code_from_coloring) have no text form and no decode check;
+only tests and perfbench/traced.py use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from indexcoding.bounds import gf2_row_basis
 from indexcoding.confusion import confounds
@@ -84,9 +84,6 @@ class GeneralCode:
         return self.table[x]
 
 
-Code = LinearCode | GeneralCode
-
-
 def linear_code_from_matrix(n: int, rows: tuple[int, ...] | list[int]) -> LinearCode:
     """Linear code spanned by a matrix: one output bit per row of a greedily
     chosen row basis, so the length equals the matrix rank."""
@@ -108,12 +105,10 @@ def code_from_coloring(n: int, colors: tuple[int, ...] | list[int]) -> GeneralCo
     return GeneralCode(n, length, tuple(table))
 
 
-def coloring_from_code(code: Code) -> tuple[int, ...]:
-    """Color per message tuple: the codeword itself.  A linear code's table
-    is built by doubling: the tuples with message j set are the tuples
-    below 2^j, each codeword XORed with column j of the code."""
-    if isinstance(code, GeneralCode):
-        return code.table
+def coloring_from_code(code: LinearCode) -> tuple[int, ...]:
+    """Color per message tuple: the codeword itself.  The table is built by
+    doubling: the tuples with message j set are the tuples below 2^j, each
+    codeword XORed with column j of the code."""
     cols = [0] * code.n_messages
     for r, row in enumerate(code.rows):
         for j in range(code.n_messages):
@@ -124,21 +119,15 @@ def coloring_from_code(code: Code) -> tuple[int, ...]:
     return tuple(table)
 
 
-def receiver_decodes(g: Digraph, code: Code) -> list[bool]:
+def receiver_decodes(g: Digraph, code: LinearCode) -> list[bool]:
     """Per receiver i, whether it always recovers x_i: no collision of the
     code, x ^ y for distinct tuples x, y sharing a codeword, confounds i.
-    A linear code's collisions are its nonzero kernel, the x != 0 whose
-    codeword is 0."""
+    The collisions of a linear code are its nonzero kernel, the x != 0
+    whose codeword is 0."""
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
     table = coloring_from_code(code)
-    if isinstance(code, LinearCode):
-        collisions = {x for x in range(1, len(table)) if not table[x]}
-    else:
-        by_codeword: dict[int, list[int]] = {}
-        for x, cw in enumerate(table):
-            by_codeword.setdefault(cw, []).append(x)
-        collisions = {x ^ y for same in by_codeword.values() for x, y in combinations(same, 2)}
+    collisions = [x for x in range(1, len(table)) if not table[x]]
     return [not any(confounds(g, i, z) for z in collisions) for i in range(g.n)]
 
 

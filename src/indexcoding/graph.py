@@ -58,26 +58,25 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def edge_row(self, i: int) -> int:
-        """Bitmask of vertices j joined to i by an edge (arcs both ways)."""
-        mask = 0
-        r = self.rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            r &= r - 1
-            if self.rows[j] >> i & 1:
-                mask |= 1 << j
-        return mask
-
-    def edge_count(self) -> int:
-        """Half the arcs whose reverse is an arc: the rows and the columns,
-        each packed as n-bit fields (field i at shift i*n), ANDed."""
+    def _mutual_fields(self) -> int:
+        """The rows and the columns, each packed as n-bit fields (field i at
+        shift i*n), ANDed: field i holds the vertices joined to i by an edge."""
         to_columns = _column_fields(self.n)
         rows = columns = 0
         for i, row in enumerate(self.rows):
             rows |= row << i * self.n
             columns |= to_columns[i][row]
-        return (rows & columns).bit_count() // 2
+        return rows & columns
+
+    def edge_rows(self) -> tuple[int, ...]:
+        """Per vertex i, the bitmask of vertices joined to i by an edge (arcs both ways)."""
+        mutual = self._mutual_fields()
+        full = (1 << self.n) - 1
+        return tuple(mutual >> i * self.n & full for i in range(self.n))
+
+    def edge_count(self) -> int:
+        """Pairs joined by an edge: half the mutual arcs."""
+        return self._mutual_fields().bit_count() // 2
 
 
 class CanonicalKey(NamedTuple):
@@ -150,8 +149,7 @@ def parse_digraph(text: str) -> Digraph:
 def serialize_digraph(g: Digraph) -> str:
     """Normalized text form; round-trips through parse_digraph."""
     tokens = []
-    for i in range(g.n):
-        edge_mask = g.edge_row(i)
+    for i, edge_mask in enumerate(g.edge_rows()):
         r = g.rows[i]
         while r:
             j = (r & -r).bit_length() - 1
@@ -189,7 +187,7 @@ def undirected_girth(g: Digraph) -> int | None:
     """Length of the shortest cycle made of edges only, or None if the edge
     subgraph is a forest.  One-way arcs are ignored."""
     n = g.n
-    und = [g.edge_row(i) for i in range(n)]
+    und = g.edge_rows()
     best: int | None = None
     for src in range(n):
         dist = [-1] * n
@@ -411,17 +409,17 @@ def orbit_table(n: int) -> OrbitTable:
             classes[image] = index
 
 
-@lru_cache(maxsize=None)
-def classes_above(n: int) -> tuple[array, ...]:
-    """classes_above(n)[c] holds, per arc absent from the representative of
-    class c, the class of the representative with that arc added, repeats
-    kept: 96,080 steps at n = 5.  A relabeling carries (g, i->j) to
+def classes_above(n: int, c: int) -> list[int]:
+    """Per arc absent from the representative of class c, the class of the
+    representative with that arc added, repeats kept: 96,080 steps over
+    the 9608 classes at n = 5.  A relabeling carries (g, i->j) to
     (rep, pi(i)->pi(j)), so these are the one-arc steps up from any member
     of c, and the classes reached upward from c are those holding c as an
-    arc-deleted subgraph."""
+    arc-deleted subgraph.  Read off orbit_table(n) on each call and never
+    stored: a stored copy of every class's steps outweighs the table reads."""
     classes, reps = orbit_table(n)
-    bits = [1 << b for b in range(n * (n - 1))]
-    return tuple(array("H", [classes[rep | bit] for bit in bits if not rep & bit]) for rep in reps)
+    rep = reps[c]
+    return [classes[rep | 1 << b] for b in range(n * (n - 1)) if not rep >> b & 1]
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:

@@ -36,6 +36,7 @@ from indexcoding.graph import (
 )
 
 REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,chromatic,code"
+_POOL_CHUNK = 64  # tasks a pool worker takes at a time
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,17 @@ def _end_torn_tail(fh: BinaryIO) -> None:
 
 
 def _analyze_keys(tasks: Sequence[CanonicalKey], jobs: int) -> Iterator[VerificationRecord]:
-    """Records for the keys in task order, from a process pool when
-    jobs > 1; the pool module is imported only then, so a serial run and
-    the CLI's start-up do not pay for it."""
-    if jobs > 1 and len(tasks) > 1:
+    """Records for the keys in task order.  A pool starts every worker
+    before any work, so it gets jobs workers but no more than the CPUs or
+    the chunks of _POOL_CHUNK tasks; at one worker the tasks run in
+    process, and the pool module is imported only otherwise, so a serial
+    run and the CLI's start-up do not pay for it."""
+    workers = min(jobs, os.cpu_count() or 1, -(-len(tasks) // _POOL_CHUNK))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            yield from pool.imap(_analyze_key, tasks, chunksize=64)
+        with multiprocessing.Pool(workers) as pool:
+            yield from pool.imap(_analyze_key, tasks, chunksize=_POOL_CHUNK)
     else:
         yield from map(_analyze_key, tasks)
 
@@ -223,7 +227,7 @@ def run_sweep(
     appended as it arrives, so an interrupted run keeps its work.  The keys
     are read from the orbit tables, so each uncached class representative
     is built once, by its analysis.  Analysis of distinct
-    graphs is independent, so jobs > 1 fans out over a process pool; the
+    graphs is independent, so jobs > 1 may fan out over a process pool; the
     merge order is fixed by the final sort, making reports identical for
     any worker count."""
     with open(cache_path, "a+b") if cache_path is not None else contextlib.nullcontext() as sink:
@@ -258,7 +262,7 @@ def maximal_gap_classes(gap_records: Sequence[VerificationRecord]) -> list[Verif
         above = marked[n] = bytearray(len(reps))
         for c in sorted(range(len(reps)), key=lambda c: reps[c].bit_count()):
             if above[c] or c in gaps:
-                for up in classes_above(n)[c]:
+                for up in classes_above(n, c):
                     above[up] = 1
     return [r for r in gap_records if not marked[r.n][orbit_table(r.n).classes[r.key.key]]]
 
@@ -292,9 +296,10 @@ def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord]) -> bool
 def check_monotonicity(n: int, records: Sequence[VerificationRecord]) -> bool:
     """True iff adding one side-information arc never increases ell_star.
 
-    Exhaustive: every one-arc step of classes_above(n), with both ell_star
-    values read from the sweep records.  Since ell_star is a class
-    invariant, this covers every labeled graph and every absent arc.
+    Exhaustive: every one-arc step of classes_above(n, c) for every class
+    c, with both ell_star values read from the sweep records.  Since
+    ell_star is a class invariant, this covers every labeled graph and
+    every absent arc.
     """
     if not 2 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"monotonicity check supports 2..{MAX_ENUM_VERTICES} vertices, got {n}")
@@ -304,7 +309,7 @@ def check_monotonicity(n: int, records: Sequence[VerificationRecord]) -> bool:
     if missing:
         raise ValueError(f"no record for {len(missing)} order-{n} classes, first 0x{missing[0]:x}")
     by_class = [ell[code] for code in reps]
-    return all(by_class[up] <= base for base, ups in zip(by_class, classes_above(n)) for up in ups)
+    return all(by_class[up] <= base for c, base in enumerate(by_class) for up in classes_above(n, c))
 
 
 def check_structural_conditions(records: Sequence[VerificationRecord]) -> bool:
@@ -319,8 +324,9 @@ def check_structural_conditions(records: Sequence[VerificationRecord]) -> bool:
         if r.mais != 2:
             continue
         g = digraph_from_key(r.key)
+        edges = g.edge_rows()
         for quad in combinations(range(5), 4):
-            if not any(g.edge_row(i) >> j & 1 for i, j in combinations(quad, 2)):
+            if not any(edges[i] >> j & 1 for i, j in combinations(quad, 2)):
                 return False
         for triple in combinations(range(5), 3):
             mask = sum(1 << v for v in triple)

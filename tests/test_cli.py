@@ -384,6 +384,42 @@ def test_verify_jobs_below_one_usage_error(capsys):
         assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_pool_is_no_larger_than_the_cpus_or_the_task_chunks(monkeypatch, tmp_path, capsys):
+    # a pool starts every worker before any work, so --jobs 100000 must not
+    # ask for 100000; the fake pool records its size and maps in process
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    serial = tmp_path / "serial.csv"
+    assert main(["verify", "--max-n", "4", "--out", str(serial)]) == 0
+    # 238 classes up to four vertices make 4 chunks of 64, the 20 up to
+    # three make one, and an unknown CPU count counts as one
+    for cpus, max_n, size in ((3, 4, [3]), (8, 4, [4]), (None, 4, []), (8, 3, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        sizes.clear()
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--max-n", str(max_n), "--jobs", "100000", "--out", str(out)]) == 0
+        assert sizes == size
+        if max_n == 4:
+            assert out.read_bytes() == serial.read_bytes()
+    capsys.readouterr()
+
+
 def test_verify_report_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert main(["verify", "--max-n", "3", "--out", str(out1)]) == 0

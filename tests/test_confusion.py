@@ -8,7 +8,7 @@ import pytest
 import oracles
 from indexcoding import confusion
 from indexcoding.bounds import mais, minrank_witness
-from indexcoding.codec import code_from_coloring, receiver_decodes
+from indexcoding.codec import code_from_coloring
 from indexcoding.confusion import (
     build_confusion,
     chromatic_number,
@@ -168,7 +168,7 @@ def test_k_colorability_brackets_chromatic_number():
         assert coloring is not None
         assert len(set(coloring)) <= chi
         assert oracles.proper_coloring(list(cg.adj), coloring)
-        assert all(receiver_decodes(g, code_from_coloring(g.n, coloring)))
+        assert oracles.decodes(g.n, g.rows, code_from_coloring(g.n, coloring).table.__getitem__)
 
 
 def test_k_colorable_edge_cases():
@@ -181,7 +181,7 @@ def test_k_colorable_edge_cases():
 def test_proper_coloring_rejects_conflicts():
     g = parse_digraph("n 2")
     # tuples 00 and 01 confound receiver 1, so equal colors must be rejected
-    assert not all(receiver_decodes(g, code_from_coloring(2, (0, 0, 1, 2))))
+    assert not oracles.decodes(2, g.rows, code_from_coloring(2, (0, 0, 1, 2)).table.__getitem__)
     with pytest.raises(ValueError):
         code_from_coloring(2, (0, 1))
 

@@ -1,6 +1,9 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -383,6 +386,28 @@ def test_check_monotonicity_needs_every_class(full_records):
         check_monotonicity(5, [r for r in full_records if r.key != pentagon])
     with pytest.raises(ValueError):
         check_monotonicity(5, [r for r in full_records if r.n < 5])
+
+
+def test_the_inclusion_checks_store_nothing():
+    # a fresh interpreter, so no earlier call has filled a cache: with the
+    # records and the orbit tables built, every monotonicity check and the
+    # gap cores leave under 64 KiB behind
+    probe = (
+        "import gc, tracemalloc\n"
+        "from indexcoding.verify import check_monotonicity, maximal_gap_classes, run_sweep\n"
+        "records = run_sweep(range(1, 6))\n"
+        "gaps = [r for r in records if r.gap]\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "assert all(check_monotonicity(n, records) for n in range(2, 6))\n"
+        "assert len(maximal_gap_classes(gaps)) == 2\n"
+        "gc.collect()\n"
+        "retained = tracemalloc.get_traced_memory()[0]\n"
+        "assert retained < 64 * 1024, retained\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_structural_conditions_preconditions(full_records):
