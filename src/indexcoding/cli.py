@@ -26,13 +26,11 @@ from indexcoding.graph import (
 from indexcoding.verify import REPORT_HEADER, analyze, summary_text, verify_theorem, write_report
 
 
-def _add_graph_source(sub: argparse.ArgumentParser) -> None:
+def _add_graph_options(sub: argparse.ArgumentParser) -> None:
+    """The options of every one-graph command: its source and --format."""
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", metavar="PATH", help="file containing the graph text")
     src.add_argument("--graph", metavar="TEXT", help="inline graph text")
-
-
-def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("human", "csv"), default="human")
 
 
@@ -156,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="bounds, exact length, and witness code for one graph")
-    _add_graph_source(p)
-    _add_format(p)
+    _add_graph_options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="sweep all classes up to --max-n and check every claim")
@@ -170,13 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-code", help="print an optimal code with decode confirmation")
-    _add_graph_source(p)
-    _add_format(p)
+    _add_graph_options(p)
     p.set_defaults(func=cmd_find_code)
 
     p = sub.add_parser("classify", help="undirected girth and category of one graph")
-    _add_graph_source(p)
-    _add_format(p)
+    _add_graph_options(p)
     p.set_defaults(func=cmd_classify)
 
     _COMMAND_PARSERS.update(sub.choices)

@@ -15,10 +15,11 @@ only tests and perfbench/traced.py use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from indexcoding.bounds import gf2_row_basis
-from indexcoding.confusion import confounds
+from indexcoding.confusion import _confusable
 from indexcoding.graph import Digraph
 
 
@@ -28,13 +29,10 @@ class CodeFormatError(ValueError):
 
 def mask_from_bits(s: str) -> int:
     """Bit-string chars (low index first) to int mask."""
-    mask = 0
-    for j, ch in enumerate(s):
-        if ch == "1":
-            mask |= 1 << j
-        elif ch != "0":
-            raise CodeFormatError(f"invalid bit char {ch!r}")
-    return mask
+    bad = s.strip("01")
+    if bad:
+        raise CodeFormatError(f"invalid bit char {bad[0]!r}")
+    return int(s[::-1] or "0", 2)
 
 
 def bits_from_mask(mask: int, width: int) -> str:
@@ -105,30 +103,24 @@ def code_from_coloring(n: int, colors: tuple[int, ...] | list[int]) -> GeneralCo
     return GeneralCode(n, length, tuple(table))
 
 
-def coloring_from_code(code: LinearCode) -> tuple[int, ...]:
-    """Color per message tuple: the codeword itself.  The table is built by
-    doubling: the tuples with message j set are the tuples below 2^j, each
-    codeword XORed with column j of the code."""
-    cols = [0] * code.n_messages
-    for r, row in enumerate(code.rows):
-        for j in range(code.n_messages):
-            cols[j] |= (row >> j & 1) << r
-    table = [0]
-    for col in cols:
-        table += [cw ^ col for cw in table]
-    return tuple(table)
+@lru_cache(maxsize=None)
+def _even_parity(n: int) -> tuple[int, ...]:
+    """_even_parity(n)[row] is the 2^n-bit set of tuples x whose parity
+    under row is even, i.e. the x that output bit's row maps to 0."""
+    size = 1 << n
+    return tuple(sum(1 << x for x in range(size) if not (row & x).bit_count() & 1) for row in range(size))
 
 
 def receiver_decodes(g: Digraph, code: LinearCode) -> list[bool]:
     """Per receiver i, whether it always recovers x_i: no collision of the
     code, x ^ y for distinct tuples x, y sharing a codeword, confounds i.
     The collisions of a linear code are its nonzero kernel, the x != 0
-    whose codeword is 0."""
+    whose codeword is 0: the AND of _even_parity over its rows, held as a
+    2^n-bit set and met with confusion._confusable per receiver."""
     if code.n_messages != g.n:
         raise ValueError("code and graph disagree on the number of messages")
-    table = coloring_from_code(code)
-    collisions = [x for x in range(1, len(table)) if not table[x]]
-    return [not any(confounds(g, i, z) for z in collisions) for i in range(g.n)]
+    kernel = reduce(and_, map(_even_parity(g.n).__getitem__, code.rows), (1 << (1 << g.n)) - 2)
+    return [not kernel & per_prior[prior] for per_prior, prior in zip(_confusable(g.n), g.rows)]
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ u xor v lies in a difference set, so it is built once from that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from indexcoding.bounds import mais, minrank_witness
@@ -34,15 +35,20 @@ class ConfusionGraph:
         return 1 << self.n_messages
 
 
-def confounds(g: Digraph, i: int, z: int) -> bool:
-    """The zero-error rule: receiver i confuses x and x ^ z iff z flips
-    the message i wants while fixing all of i's priors."""
-    return bool(z >> i & 1) and not z & g.rows[i]
+@lru_cache(maxsize=None)
+def _confusable(n: int) -> tuple[tuple[int, ...], ...]:
+    """The zero-error rule as a table: _confusable(n)[i][prior] is the 2^n-bit
+    set of differences z that flip the message receiver i wants (bit i of z)
+    and fix all of its priors (z & prior == 0), so i confuses x and x ^ z."""
+    zs = range(1 << n)
+    return tuple(tuple(sum(1 << z for z in zs if z >> i & 1 and not z & prior) for prior in zs) for i in range(n))
 
 
 def confusion_diffs(g: Digraph) -> tuple[int, ...]:
-    """Nonzero difference patterns z that confound some receiver."""
-    return tuple(z for z in range(1, 1 << g.n) if any(confounds(g, i, z) for i in range(g.n)))
+    """Nonzero difference patterns z that confound some receiver, ascending:
+    the union over receivers i of _confusable(n)[i][rows[i]]."""
+    confusable = reduce(or_, map(tuple.__getitem__, _confusable(g.n), g.rows))
+    return tuple(z for z in range(1 << g.n) if confusable >> z & 1)
 
 
 def build_confusion(g: Digraph) -> ConfusionGraph:

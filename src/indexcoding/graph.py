@@ -26,6 +26,7 @@ MAX_ENUM_VERTICES = 5
 _TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$", re.ASCII)
 _CHUNK_BITS = 10
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_ARC_BITS = tuple(1 << b for b in range(MAX_ENUM_VERTICES * (MAX_ENUM_VERTICES - 1)))  # one-arc adjacency codes
 
 
 class GraphFormatError(ValueError):
@@ -103,12 +104,25 @@ class Category(IntEnum):
     GIRTH_5 = 4
 
 
+@lru_cache(maxsize=None)
+def _token_arcs(n: int) -> dict[str, int]:
+    """Adjacency bits of each canonical token "a->b" and "a-b", 1 <= a != b
+    <= n: the rows packed as n-bit fields, arc i->j at bit i*n + j."""
+    arcs = {}
+    for a, b in itertools.permutations(range(n), 2):
+        arcs[f"{a + 1}->{b + 1}"] = 1 << a * n + b
+        arcs[f"{a + 1}-{b + 1}"] = 1 << a * n + b | 1 << b * n + a
+    return arcs
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based;
     N, a and b are written in ASCII decimal digits.
 
     '#' starts a comment running to end of line.  Raises GraphFormatError
-    with the offending token position on malformed input.
+    with the offending token position on malformed input.  A token is one
+    lookup in _token_arcs(n), the only map from tokens to arcs; _TOKEN_RE
+    only spells other tokens canonically ("01->2" is "1->2") or rejects them.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -123,27 +137,24 @@ def parse_digraph(text: str) -> Digraph:
     n = int(tokens[1])
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise GraphFormatError(f"token 2: vertex count {n} outside supported range 1..{MAX_ENUM_VERTICES}")
-    rest = tokens[2:]
-    first_pos = 3
-    if rest and rest[0] == ";":
-        rest = rest[1:]
-        first_pos = 4
-    rows = [0] * n
-    for off, tok in enumerate(rest):
-        pos = first_pos + off
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise GraphFormatError(f"token {pos}: malformed arc/edge token {tok!r}")
-        a, kind, b = int(m.group(1)), m.group(2), int(m.group(3))
-        for v in (a, b):
-            if not 1 <= v <= n:
-                raise GraphFormatError(f"token {pos}: vertex {v} outside 1..{n}")
-        if a == b:
-            raise GraphFormatError(f"token {pos}: self-loop {tok!r}")
-        rows[a - 1] |= 1 << (b - 1)
-        if kind == "-":
-            rows[b - 1] |= 1 << (a - 1)
-    return Digraph(n, tuple(rows))
+    first_pos = 4 if tokens[2:3] == [";"] else 3
+    arcs = _token_arcs(n)
+    packed = 0
+    for pos, tok in enumerate(tokens[first_pos - 1 :], first_pos):
+        if tok not in arcs:
+            m = _TOKEN_RE.match(tok)
+            if m is None:
+                raise GraphFormatError(f"token {pos}: malformed arc/edge token {tok!r}")
+            a, kind, b = int(m.group(1)), m.group(2), int(m.group(3))
+            for v in (a, b):
+                if not 1 <= v <= n:
+                    raise GraphFormatError(f"token {pos}: vertex {v} outside 1..{n}")
+            if a == b:
+                raise GraphFormatError(f"token {pos}: self-loop {tok!r}")
+            tok = f"{a}{kind}{b}"
+        packed |= arcs[tok]
+    full = (1 << n) - 1
+    return Digraph(n, tuple(packed >> i * n & full for i in range(n)))
 
 
 def serialize_digraph(g: Digraph) -> str:
@@ -215,15 +226,9 @@ def undirected_girth(g: Digraph) -> int | None:
 
 def categorize(g: Digraph) -> Category:
     """Category by undirected girth; on at most five vertices a cycle has
-    at most five edges, so every graph falls in one of the four."""
+    3 to 5 edges, so every graph falls in one of the four (GIRTH_g is g - 1)."""
     girth = undirected_girth(g)
-    if girth is None:
-        return Category.NO_UNDIRECTED_CYCLE
-    if girth == 3:
-        return Category.GIRTH_3
-    if girth == 4:
-        return Category.GIRTH_4
-    return Category.GIRTH_5
+    return Category.NO_UNDIRECTED_CYCLE if girth is None else Category(girth - 1)
 
 
 @lru_cache(maxsize=None)
@@ -419,7 +424,7 @@ def classes_above(n: int, c: int) -> list[int]:
     stored: a stored copy of every class's steps outweighs the table reads."""
     classes, reps = orbit_table(n)
     rep = reps[c]
-    return [classes[rep | 1 << b] for b in range(n * (n - 1)) if not rep >> b & 1]
+    return [classes[rep | arc] for arc in _ARC_BITS[: n * (n - 1)] if not rep & arc]
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Digraph]:

@@ -11,7 +11,6 @@ import oracles
 from indexcoding.bounds import mais
 from indexcoding.codec import (
     LinearCode,
-    coloring_from_code,
     parse_code,
     receiver_decodes,
 )
@@ -155,7 +154,7 @@ def test_criterion_08_codec_soundness(full_records):
                 for rows in product(range(1 << n), repeat=length):
                     code = LinearCode(n, rows)
                     valid = all(receiver_decodes(g, code))
-                    proper = oracles.proper_coloring(adj, coloring_from_code(code))
+                    proper = oracles.proper_coloring(adj, tuple(code.encode(x) for x in range(1 << n)))
                     assert valid == proper
                     populations[valid] += 1
     assert populations[True] and populations[False]

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
+from indexcoding import codec
 from indexcoding.bounds import mais, minrank_witness
 from indexcoding.codec import (
     CodeFormatError,
@@ -13,7 +14,6 @@ from indexcoding.codec import (
     LinearCode,
     bits_from_mask,
     code_from_coloring,
-    coloring_from_code,
     linear_code_from_matrix,
     mask_from_bits,
     parse_code,
@@ -32,8 +32,19 @@ def test_bit_string_helpers():
     assert mask_from_bits("") == 0
     assert bits_from_mask(0b0110, 4) == "0110"
     assert mask_from_bits(bits_from_mask(0b10101, 5)) == 0b10101
-    with pytest.raises(CodeFormatError):
-        mask_from_bits("01x")
+    # only the chars 0 and 1 are bits, though int(text, 2) reads some of these
+    for text, bad in [("01x", "x"), ("0_1", "_"), (" 01", " "), ("+1", "+"), ("1 0", " "), ("\u0661", "\u0661")]:
+        with pytest.raises(CodeFormatError) as err:
+            mask_from_bits(text)
+        assert str(err.value) == f"invalid bit char {bad!r}"
+
+
+def test_even_parity_table_is_its_definition():
+    for n in range(1, 6):
+        table = codec._even_parity(n)
+        assert len(table) == 1 << n
+        for row, even in enumerate(table):
+            assert even == sum(1 << x for x in range(1 << n) if bin(row & x).count("1") % 2 == 0)
 
 
 def test_linear_code_encode():
@@ -70,18 +81,6 @@ def test_code_from_coloring_relabels_compactly():
     assert code.length == 2
     with pytest.raises(ValueError):
         code_from_coloring(2, (0, 1))
-
-
-def test_coloring_from_code_is_the_encode_table():
-    lin = LinearCode(2, (0b11,))
-    assert coloring_from_code(lin) == (0, 1, 1, 0)
-    # a linear code's table is built by doubling; it must match encode
-    assert coloring_from_code(LinearCode(3, ())) == (0,) * 8
-    rng = random.Random(67)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        lin = LinearCode(n, tuple(rng.getrandbits(n) for _ in range(rng.randint(1, n + 1))))
-        assert coloring_from_code(lin) == tuple(lin.encode(x) for x in range(1 << n))
 
 
 def test_receiver_decodes_every_tuple():
@@ -146,7 +145,7 @@ def test_validity_iff_proper_coloring_exhaustive_two_messages():
             for rows in product(range(4), repeat=length):
                 code = LinearCode(2, rows)
                 valid = all(receiver_decodes(g, code))
-                proper = oracles.proper_coloring(list(cg.adj), coloring_from_code(code))
+                proper = oracles.proper_coloring(list(cg.adj), tuple(code.encode(x) for x in range(4)))
                 assert valid == proper
                 seen[valid] += 1
     assert seen[True] and seen[False]

@@ -25,15 +25,24 @@ FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 
 
 def test_diff_set_contains_every_unit_vector():
-    rng = random.Random(43)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        g = digraph_from_code(n, rng.getrandbits(n * (n - 1)))
-        diffs = set(confusion_diffs(g))
-        assert all(1 << i in diffs for i in range(n))
-        # defining property of every member
-        for z in diffs:
-            assert any(z >> i & 1 and z & g.rows[i] == 0 for i in range(n))
+    # exhaustive over every labeled graph with n <= 4: the diff set is
+    # exactly the differences that confound some receiver, unit vectors included
+    for n in range(1, 5):
+        for code in range(1 << (n * (n - 1))):
+            g = digraph_from_code(n, code)
+            diffs = confusion_diffs(g)
+            assert all(1 << i in diffs for i in range(n))
+            assert diffs == tuple(z for z in range(1 << n) if any(z >> i & 1 and not z & g.rows[i] for i in range(n)))
+
+
+def test_confusable_table_is_the_zero_error_rule():
+    for n in range(1, 6):
+        table = confusion._confusable(n)
+        assert len(table) == n
+        for i, per_prior in enumerate(table):
+            assert len(per_prior) == 1 << n
+            for prior, confusable in enumerate(per_prior):
+                assert confusable == sum(1 << z for z in range(1 << n) if z >> i & 1 and not z & prior)
 
 
 def test_confusion_adjacency_matches_definition_oracle():

@@ -55,6 +55,26 @@ def test_parse_duplicate_tokens_are_idempotent():
     assert parse_digraph("n 3 ; 1->2 1->2 2->1") == parse_digraph("n 3 ; 1-2")
 
 
+def test_every_canonical_token_parses_to_the_arcs_it_names():
+    for n in range(1, 6):
+        named = set()
+        for a, b in permutations(range(1, n + 1), 2):
+            arc = [0] * n
+            arc[a - 1] = 1 << (b - 1)
+            edge = list(arc)
+            edge[b - 1] = 1 << (a - 1)
+            assert parse_digraph(f"n {n} ; {a}->{b}").rows == tuple(arc)
+            assert parse_digraph(f"n {n} ; {a}-{b}").rows == tuple(edge)
+            named |= {f"{a}->{b}", f"{a}-{b}"}
+        # the token table holds exactly the canonical spellings
+        assert set(graph._token_arcs(n)) == named
+
+
+def test_parse_reads_leading_zero_spellings_as_the_canonical_tokens():
+    assert parse_digraph("n 3 ; 01->2 2-03") == parse_digraph("n 3 ; 1->2 2-3")
+    assert parse_digraph("n 5 ; 005->0001 04-2") == parse_digraph("n 5 ; 5->1 4-2")
+
+
 def test_parse_arcless():
     g = parse_digraph("n 3")
     assert g.rows == (0, 0, 0)
@@ -76,6 +96,9 @@ def test_parse_arcless():
         ("n 3 ; 1--2", "token 4"),
         ("n 3 ; 1>2", "token 4"),
         ("n 3 1-2 0-1", "token 4"),
+        # a leading-zero spelling is checked as the number it spells
+        ("n 3 ; 00->1", "token 4: vertex 0 outside 1..3"),
+        ("n 3 ; 1-2 02-2", "token 5: self-loop '02-2'"),
         # only ASCII decimal digits are numbers
         ("n \u00b2", "token 2"),
         ("n \uff15 ; 1->2", "token 2"),

@@ -12,7 +12,7 @@ import pytest
 import indexcoding.graph as graph
 import indexcoding.verify as verify
 import oracles
-from indexcoding.codec import bits_from_mask, coloring_from_code, parse_code
+from indexcoding.codec import bits_from_mask, parse_code
 from indexcoding.confusion import ell_star
 from indexcoding.graph import (
     CanonicalKey,
@@ -186,7 +186,8 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
     first_two_rows = ";".join(good.code.split(";")[:2])
-    table = coloring_from_code(parse_code(good.code))
+    code = parse_code(good.code)
+    table = tuple(code.encode(x) for x in range(1 << 5))
     old_general_form = ";".join(f"{bits_from_mask(x, 5)} {bits_from_mask(cw, 3)}" for x, cw in enumerate(table))
     moved = Digraph(5, oracles.relabel(5, digraph_from_key(good.key).rows, (1, 0, 2, 3, 4)))
     assert adjacency_code(moved) != good.key.key
