@@ -8,7 +8,7 @@ from indexcoding.codec import (
     parse_code,
     serialize_code,
 )
-from indexcoding.confusion import ConfusionGraph, build_confusion, chromatic_number
+from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import (
     CanonicalKey,
     Category,
@@ -41,7 +41,6 @@ __all__ = [
     "CanonicalKey",
     "Category",
     "CodeFormatError",
-    "ConfusionGraph",
     "Digraph",
     "GraphFormatError",
     "LinearCode",

@@ -6,33 +6,19 @@ the same codeword.  The optimal codelength is therefore ceil(log2 chi) of
 the confusion graph, and proper colorings with 2^L colors are exactly the
 valid codes of length L.
 
-The confusion graph is translation invariant: u and v are adjacent iff
-u xor v lies in a difference set, so it is built once from that set.
+The confusion graph is a Cayley graph on GF(2)^n, held as its adjacency
+masks: u and v are adjacent iff u xor v lies in the set of tuples
+confusable with 0, so it is built once from that set, translated by each u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Sequence
 
 from indexcoding.bounds import mais, minrank_witness
 from indexcoding.graph import Digraph
-
-
-@dataclass(frozen=True)
-class ConfusionGraph:
-    """Vertices are all message tuples of n_messages bits; adj[u] is the
-    bitmask of tuples confusable with u."""
-
-    n_messages: int
-    diffs: tuple[int, ...]
-    adj: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n_messages
 
 
 @lru_cache(maxsize=None)
@@ -44,23 +30,29 @@ def _confusable(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(1 << z for z in zs if z >> i & 1 and not z & prior) for prior in zs) for i in range(n))
 
 
-def confusion_diffs(g: Digraph) -> tuple[int, ...]:
-    """Nonzero difference patterns z that confound some receiver, ascending:
-    the union over receivers i of _confusable(n)[i][rows[i]]."""
+@lru_cache(maxsize=None)
+def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per n-bit vector c, the masked swaps that move a set of n-bit
+    vectors, held as a 2^n-bit mask, by c: one (1 << j, mask of the
+    vectors with bit j clear) per bit j of c, swapping the two halves."""
+    halves = [(1 << j, sum(1 << v for v in range(1 << n) if not v >> j & 1)) for j in range(n)]
+    return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
+
+
+def _translate(mask: int, moves: tuple[tuple[int, int], ...]) -> int:
+    """The set of vectors in mask, each xored with c, for moves = _translations(n)[c]."""
+    for shift, low in moves:
+        mask = (mask & low) << shift | (mask >> shift) & low
+    return mask
+
+
+def build_confusion(g: Digraph) -> tuple[int, ...]:
+    """The confusion graph on the 2^n message tuples as adjacency masks:
+    bit v of adj[u] is set iff some receiver confuses u and v.  Row 0 is
+    the union over receivers i of _confusable(n)[i][rows[i]], and row u is
+    row 0 translated by u."""
     confusable = reduce(or_, map(tuple.__getitem__, _confusable(g.n), g.rows))
-    return tuple(z for z in range(1 << g.n) if confusable >> z & 1)
-
-
-def build_confusion(g: Digraph) -> ConfusionGraph:
-    diffs = confusion_diffs(g)
-    size = 1 << g.n
-    adj = []
-    for u in range(size):
-        mask = 0
-        for z in diffs:
-            mask |= 1 << (u ^ z)
-        adj.append(mask)
-    return ConfusionGraph(g.n, diffs, tuple(adj))
+    return tuple(_translate(confusable, moves) for moves in _translations(g.n))
 
 
 def _search_coloring(adj: Sequence[int], keep: int, k: int) -> list[int] | None:
@@ -112,31 +104,22 @@ def _search_coloring(adj: Sequence[int], keep: int, k: int) -> list[int] | None:
     return colors if assign(keep, 0) else None
 
 
-def find_coloring(cg: ConfusionGraph, k: int) -> tuple[int, ...] | None:
+def find_coloring(adj: Sequence[int], k: int) -> tuple[int, ...] | None:
     """A proper k-coloring as a color-per-tuple vector, or None if chi > k:
     the plain exhaustive search over every tuple, with no packing.  Only
     tests and perfbench/traced.py call this and is_k_colorable; the
     package decides chi through chromatic_number alone."""
-    found = _search_coloring(cg.adj, (1 << cg.size) - 1, k)
+    found = _search_coloring(adj, (1 << len(adj)) - 1, k)
     return None if found is None else tuple(found)
 
 
-def is_k_colorable(cg: ConfusionGraph, k: int) -> bool:
-    return chromatic_number(cg) <= k
+def is_k_colorable(adj: Sequence[int], k: int) -> bool:
+    return chromatic_number(adj) <= k
 
 
-@lru_cache(maxsize=None)
-def _translations(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per n-bit vector c, the masked swaps that move a set of n-bit
-    vectors, held as a 2^n-bit mask, by c: one (1 << j, mask of the
-    vectors with bit j clear) per bit j of c, swapping the two halves."""
-    halves = [(1 << j, sum(1 << v for v in range(1 << n) if not v >> j & 1)) for j in range(n)]
-    return tuple(tuple(halves[j] for j in range(n) if c >> j & 1) for c in range(1 << n))
-
-
-def _maximum_independent_sets(adj: Sequence[int], nv: int) -> tuple[int, ...]:
-    """Every maximum independent set of a Cayley graph on GF(2)^n,
-    nv = 2^n, as bitmasks, each listed once; alpha is the size of any.
+def _maximum_independent_sets(adj: Sequence[int]) -> tuple[int, ...]:
+    """Every maximum independent set of a Cayley graph on GF(2)^n, as
+    bitmasks, each listed once; alpha is the size of any.
 
     The sets through vertex 0 are grown from 0 by vertices above the last
     one added, so each is found once.  A branch is dropped once it cannot
@@ -146,6 +129,7 @@ def _maximum_independent_sets(adj: Sequence[int], nv: int) -> tuple[int, ...]:
     holds 0.  So the answer is the translates of those sets, each set's
     translates in turn, with repeats dropped.
     """
+    nv = len(adj)
     best = 0
     through_zero = []
     stack = [(1, ((1 << nv) - 2) & ~adj[0])]
@@ -163,19 +147,13 @@ def _maximum_independent_sets(adj: Sequence[int], nv: int) -> tuple[int, ...]:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             stack.append((cur | (1 << v), cand & ~adj[v]))
-    found = {}
-    for s in through_zero:
-        for moves in _translations(nv.bit_length() - 1):
-            moved = s
-            for shift, low in moves:
-                moved = (moved & low) << shift | (moved >> shift) & low
-            found[moved] = None
-    return tuple(found)
+    translations = _translations(nv.bit_length() - 1)
+    return tuple(dict.fromkeys(_translate(s, moves) for s in through_zero for moves in translations))
 
 
-def _k_colorable(adj: Sequence[int], nv: int, k: int, alpha: int, maximum_sets: Sequence[int]) -> bool:
-    """Exact k-colorability of a Cayley graph on GF(2)^n, nv = 2^n,
-    packing maximum color classes first.
+def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> bool:
+    """Exact k-colorability of a Cayley graph on GF(2)^n, nv = 2^n tuples,
+    packing maximum color classes first; alpha is the size of each.
 
     A k-coloring leaves slack alpha * k - nv, the sum of alpha - |class|
     over its k classes, so at most slack classes fall short of alpha and
@@ -187,6 +165,8 @@ def _k_colorable(adj: Sequence[int], nv: int, k: int, alpha: int, maximum_sets: 
     the packing off vertex 0 and maps the remainder's coloring along, so
     only packings of sets that avoid 0 are tried.
     """
+    nv = len(adj)
+    alpha = maximum_sets[0].bit_count()
     slack = alpha * k - nv
     if slack < 0:
         return False
@@ -209,7 +189,7 @@ def _k_colorable(adj: Sequence[int], nv: int, k: int, alpha: int, maximum_sets: 
     return pack(0, 0, need)
 
 
-def chromatic_number(cg: ConfusionGraph) -> int:
+def chromatic_number(adj: Sequence[int]) -> int:
     """Least k for which the graph is k-colorable, counting up from
     ceil(size / alpha); k = size always succeeds.
 
@@ -222,10 +202,9 @@ def chromatic_number(cg: ConfusionGraph) -> int:
     the maximum independent sets, enumerated once through vertex 0 of this
     Cayley graph on GF(2)^n; alpha is the size of any of them.
     """
-    maximum_sets = _maximum_independent_sets(cg.adj, cg.size)
-    alpha = maximum_sets[0].bit_count()
-    k = -(-cg.size // alpha)
-    while not _k_colorable(cg.adj, cg.size, k, alpha, maximum_sets):
+    maximum_sets = _maximum_independent_sets(adj)
+    k = -(-len(adj) // maximum_sets[0].bit_count())
+    while not _k_colorable(adj, k, maximum_sets):
         k += 1
     return k
 

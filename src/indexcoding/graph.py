@@ -196,32 +196,21 @@ def subset_is_acyclic(g: Digraph, mask: int) -> bool:
 
 def undirected_girth(g: Digraph) -> int | None:
     """Length of the shortest cycle made of edges only, or None if the edge
-    subgraph is a forest.  One-way arcs are ignored."""
-    n = g.n
+    subgraph is a forest.  One-way arcs are ignored.
+
+    On at most five vertices the girth is read off by counting.  An edge
+    whose ends share a neighbour closes a triangle, and a pair with two
+    common neighbours closes a 4-cycle.  With neither, the only cycle that
+    fits is a 5-cycle, and there is one iff there are at least five edges,
+    since a forest on five vertices has at most four.
+    """
     und = g.edge_rows()
-    best: int | None = None
-    for src in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[src] = 0
-        queue = [src]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            m = und[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif w != parent[v]:
-                    cycle = dist[v] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
+    pairs = [(und[i] >> j & 1, und[i] & und[j]) for i, j in itertools.combinations(range(g.n), 2)]
+    if any(edge and common for edge, common in pairs):
+        return 3
+    if any(common.bit_count() >= 2 for _, common in pairs):
+        return 4
+    return 5 if g.edge_count() >= 5 else None
 
 
 def categorize(g: Digraph) -> Category:

@@ -6,9 +6,10 @@ acyclicity via topological orders, mais via subset enumeration, minrank
 via full fitting-matrix enumeration (and, as the reference for the minrank
 search, a pivot-dict branch and bound), isomorphism via
 permutation search, confusability straight from the decoding definition,
-chromatic numbers via independent-set cover DP, and alpha via naive
-recursion.  Canonical keys and code text are read by their definitions,
-without the package's parsers.
+chromatic numbers via independent-set cover DP, alpha via naive
+recursion, and girth via vertex sequences in every order.  Canonical keys
+and code text are read by their definitions, without the package's
+parsers.
 
 Graphs are passed as (n, rows) with bit j of rows[i] meaning arc i->j.
 """
@@ -246,6 +247,20 @@ def confusion_adjacency(n: int, rows: tuple[int, ...]) -> list[int]:
         sum(1 << v for v in range(size) if confusable(n, rows, u, v))
         for u in range(size)
     ]
+
+
+def undirected_girth(n: int, rows: tuple[int, ...]) -> int | None:
+    """The fewest vertices of a sequence, tried in every order, whose
+    consecutive pairs, last to first included, are all edges (arcs both
+    ways); None if no sequence of three or more closes such a cycle."""
+    def edge(i, j):
+        return rows[i] >> j & 1 and rows[j] >> i & 1
+
+    for length in range(3, n + 1):
+        for cycle in permutations(range(n), length):
+            if all(edge(cycle[p], cycle[p - 1]) for p in range(length)):
+                return length
+    return None
 
 
 def rows_from_key(n: int, code: int) -> tuple[int, ...]:

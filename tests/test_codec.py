@@ -140,26 +140,26 @@ def test_validity_matches_decode_oracle_on_random_codes():
 def test_validity_iff_proper_coloring_exhaustive_two_messages():
     seen = {True: 0, False: 0}
     for g in enumerate_nonisomorphic(2):
-        cg = build_confusion(g)
+        adj = build_confusion(g)
         for length in (1, 2):
             for rows in product(range(4), repeat=length):
                 code = LinearCode(2, rows)
                 valid = all(receiver_decodes(g, code))
-                proper = oracles.proper_coloring(list(cg.adj), tuple(code.encode(x) for x in range(4)))
+                proper = oracles.proper_coloring(list(adj), tuple(code.encode(x) for x in range(4)))
                 assert valid == proper
                 seen[valid] += 1
     assert seen[True] and seen[False]
 
 
 def test_colorings_convert_to_valid_codes():
-    cg = build_confusion(PENTAGON)
-    coloring = find_coloring(cg, 8)
+    adj = build_confusion(PENTAGON)
+    coloring = find_coloring(adj, 8)
     code = code_from_coloring(5, coloring)
     assert code.length == 3
     assert oracles.decodes(5, PENTAGON.rows, code.table.__getitem__)
     # breaking one color class breaks validity
     mutated = list(coloring)
-    u = next(v for v in range(32) if cg.adj[0] >> v & 1)
+    u = next(v for v in range(32) if adj[0] >> v & 1)
     mutated[u] = mutated[0]
     assert not oracles.decodes(5, PENTAGON.rows, code_from_coloring(5, mutated).table.__getitem__)
 

@@ -12,7 +12,6 @@ from indexcoding.codec import code_from_coloring
 from indexcoding.confusion import (
     build_confusion,
     chromatic_number,
-    confusion_diffs,
     ell_star,
     find_coloring,
     is_k_colorable,
@@ -25,14 +24,16 @@ FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 
 
 def test_diff_set_contains_every_unit_vector():
-    # exhaustive over every labeled graph with n <= 4: the diff set is
+    # exhaustive over every labeled graph with n <= 4: vertex 0's row is
     # exactly the differences that confound some receiver, unit vectors included
     for n in range(1, 5):
         for code in range(1 << (n * (n - 1))):
             g = digraph_from_code(n, code)
-            diffs = confusion_diffs(g)
-            assert all(1 << i in diffs for i in range(n))
-            assert diffs == tuple(z for z in range(1 << n) if any(z >> i & 1 and not z & g.rows[i] for i in range(n)))
+            diffs = build_confusion(g)[0]
+            assert all(diffs >> (1 << i) & 1 for i in range(n))
+            assert diffs == sum(
+                1 << z for z in range(1 << n) if any(z >> i & 1 and not z & g.rows[i] for i in range(n))
+            )
 
 
 def test_confusable_table_is_the_zero_error_rule():
@@ -45,32 +46,36 @@ def test_confusable_table_is_the_zero_error_rule():
                 assert confusable == sum(1 << z for z in range(1 << n) if z >> i & 1 and not z & prior)
 
 
-def test_confusion_adjacency_matches_definition_oracle():
-    for g in enumerate_nonisomorphic(3):
-        cg = build_confusion(g)
-        assert list(cg.adj) == oracles.confusion_adjacency(3, g.rows)
-    rng = random.Random(47)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        g = digraph_from_code(n, rng.getrandbits(n * (n - 1)))
-        cg = build_confusion(g)
-        assert list(cg.adj) == oracles.confusion_adjacency(n, g.rows)
+def test_translate_moves_every_vector_by_c():
+    rng = random.Random(59)
+    for n in range(1, 6):
+        for c, moves in enumerate(confusion._translations(n)):
+            for mask in [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(20)]:
+                moved = sum(1 << (v ^ c) for v in range(1 << n) if mask >> v & 1)
+                assert confusion._translate(mask, moves) == moved
+
+
+def test_confusion_adjacency_matches_definition_oracle(gap_records):
+    # every labeled graph with n <= 3, every class with n = 4, the gap classes
+    graphs = [digraph_from_code(n, code) for n in (1, 2, 3) for code in range(1 << (n * (n - 1)))]
+    graphs += list(enumerate_nonisomorphic(4)) + [digraph_from_key(r.key) for r in gap_records]
+    assert len(graphs) == 69 + 218 + 28
+    for g in graphs:
+        assert list(build_confusion(g)) == oracles.confusion_adjacency(g.n, g.rows)
 
 
 def test_confusion_is_translation_invariant():
-    cg = build_confusion(FIG)
-    for u in range(cg.size):
-        for v in range(cg.size):
-            if u != v:
-                expected = (u ^ v) in set(cg.diffs)
-                assert bool(cg.adj[u] >> v & 1) == expected
+    adj = build_confusion(FIG)
+    for u in range(len(adj)):
+        for v in range(len(adj)):
+            assert adj[u] >> v & 1 == adj[0] >> (u ^ v) & 1
 
 
 def test_chromatic_matches_cover_dp_oracle_small():
     for n in (1, 2, 3):
         for g in enumerate_nonisomorphic(n):
-            cg = build_confusion(g)
-            assert chromatic_number(cg) == oracles.chromatic_dp(list(cg.adj))
+            adj = build_confusion(g)
+            assert chromatic_number(adj) == oracles.chromatic_dp(list(adj))
 
 
 def _small_and_gap_graphs(gap_records):
@@ -81,10 +86,10 @@ def _small_and_gap_graphs(gap_records):
 
 def test_independence_number_matches_oracle(gap_records):
     for g in _small_and_gap_graphs(gap_records):
-        cg = build_confusion(g)
+        adj = build_confusion(g)
         # alpha is the size of every set the maximum-set search returns
-        sizes = {s.bit_count() for s in confusion._maximum_independent_sets(cg.adj, cg.size)}
-        assert sizes == {oracles.independence_number(list(cg.adj))}
+        sizes = {s.bit_count() for s in confusion._maximum_independent_sets(adj)}
+        assert sizes == {oracles.independence_number(list(adj))}
 
 
 def test_clique_never_raises_the_independence_start(gap_records):
@@ -92,30 +97,30 @@ def test_clique_never_raises_the_independence_start(gap_records):
     # omega <= ceil(2^n / alpha), the walk's start; omega is alpha of the
     # complement
     for g in _small_and_gap_graphs(gap_records):
-        cg = build_confusion(g)
-        full = (1 << cg.size) - 1
-        complement = [full ^ mask ^ (1 << u) for u, mask in enumerate(cg.adj)]
-        alpha = oracles.independence_number(list(cg.adj))
+        adj = build_confusion(g)
+        full = (1 << len(adj)) - 1
+        complement = [full ^ mask ^ (1 << u) for u, mask in enumerate(adj)]
+        alpha = oracles.independence_number(list(adj))
         omega = oracles.independence_number(complement)
-        assert alpha * omega <= cg.size == 1 << g.n
-        assert omega <= -(-cg.size // alpha)
+        assert alpha * omega <= len(adj) == 1 << g.n
+        assert omega <= -(-len(adj) // alpha)
 
 
 def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatch):
     decide = confusion._k_colorable
     walks = {}
 
-    def recorded(adj, nv, k, alpha, maximum_sets):
+    def recorded(adj, k, maximum_sets):
         walk.append(k)
-        return decide(adj, nv, k, alpha, maximum_sets)
+        return decide(adj, k, maximum_sets)
 
     monkeypatch.setattr(confusion, "_k_colorable", recorded)
     for r in gap_records:
         walk = walks[r.key.hex] = []
-        cg = build_confusion(digraph_from_key(r.key))
-        assert chromatic_number(cg) == r.chromatic
+        adj = build_confusion(digraph_from_key(r.key))
+        assert chromatic_number(adj) == r.chromatic
         # the first k tried is ceil(32 / alpha), with alpha from the oracle
-        assert walk[0] == -(-cg.size // oracles.independence_number(list(cg.adj))) == 7
+        assert walk[0] == -(-len(adj) // oracles.independence_number(list(adj))) == 7
     assert sorted(r.chromatic for r in gap_records) == [7] * 26 + [8] * 2
     assert {key: walk for key, walk in walks.items() if walk != [7]} == {
         "0x355ad": [7, 8],
@@ -125,26 +130,25 @@ def test_chromatic_walk_starts_at_the_independence_bound(gap_records, monkeypatc
 
 def test_maximum_independent_sets_match_brute_force():
     for g in (g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)):
-        cg = build_confusion(g)
-        alpha = oracles.independence_number(list(cg.adj))
+        adj = build_confusion(g)
+        alpha = oracles.independence_number(list(adj))
         expected = {
             sum(1 << v for v in subset)
-            for subset in itertools.combinations(range(cg.size), alpha)
-            if all(not cg.adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2))
+            for subset in itertools.combinations(range(len(adj)), alpha)
+            if all(not adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2))
         }
-        found = confusion._maximum_independent_sets(cg.adj, cg.size)
+        found = confusion._maximum_independent_sets(adj)
         assert len(found) == len(expected) and set(found) == expected
 
 
 def test_packing_decision_agrees_with_the_plain_search(gap_records):
     for g in _small_and_gap_graphs(gap_records):
-        cg = build_confusion(g)
-        sets = confusion._maximum_independent_sets(cg.adj, cg.size)
-        alpha = sets[0].bit_count()
-        chi = chromatic_number(cg)
+        adj = build_confusion(g)
+        sets = confusion._maximum_independent_sets(adj)
+        chi = chromatic_number(adj)
         for k in (chi - 1, chi):
-            plain = confusion._search_coloring(cg.adj, (1 << cg.size) - 1, k) is not None
-            assert confusion._k_colorable(cg.adj, cg.size, k, alpha, sets) == plain == (k == chi)
+            plain = confusion._search_coloring(adj, (1 << len(adj)) - 1, k) is not None
+            assert confusion._k_colorable(adj, k, sets) == plain == (k == chi)
 
 
 def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypatch):
@@ -170,21 +174,21 @@ def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypa
 
 def test_k_colorability_brackets_chromatic_number():
     for g in (g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)):
-        cg = build_confusion(g)
-        chi = chromatic_number(cg)
-        assert not is_k_colorable(cg, chi - 1)
-        coloring = find_coloring(cg, chi)
+        adj = build_confusion(g)
+        chi = chromatic_number(adj)
+        assert not is_k_colorable(adj, chi - 1)
+        coloring = find_coloring(adj, chi)
         assert coloring is not None
         assert len(set(coloring)) <= chi
-        assert oracles.proper_coloring(list(cg.adj), coloring)
+        assert oracles.proper_coloring(list(adj), coloring)
         assert oracles.decodes(g.n, g.rows, code_from_coloring(g.n, coloring).table.__getitem__)
 
 
 def test_k_colorable_edge_cases():
-    cg = build_confusion(parse_digraph("n 2"))
-    assert not is_k_colorable(cg, 0)
-    assert is_k_colorable(cg, cg.size)
-    assert find_coloring(cg, cg.size) == tuple(range(cg.size))
+    adj = build_confusion(parse_digraph("n 2"))
+    assert not is_k_colorable(adj, 0)
+    assert is_k_colorable(adj, len(adj))
+    assert find_coloring(adj, len(adj)) == tuple(range(len(adj)))
 
 
 def test_proper_coloring_rejects_conflicts():
@@ -196,14 +200,14 @@ def test_proper_coloring_rejects_conflicts():
 
 
 def test_pentagon_chromatic_number():
-    cg = build_confusion(PENTAGON)
-    chi = chromatic_number(cg)
+    adj = build_confusion(PENTAGON)
+    chi = chromatic_number(adj)
     # independent lower bound: 32 tuples / independence number
-    alpha = oracles.independence_number(list(cg.adj))
-    lower = -(-cg.size // alpha)
+    alpha = oracles.independence_number(list(adj))
+    lower = -(-len(adj) // alpha)
     assert lower <= chi <= 8
     assert chi == 8
-    assert not is_k_colorable(cg, 7)
+    assert not is_k_colorable(adj, 7)
 
 
 def test_ell_star_spot_values():
@@ -218,7 +222,7 @@ def test_ell_star_spot_values():
 def test_ell_star_equals_chromatic_bit_width_small():
     for n in (1, 2, 3):
         for g in enumerate_nonisomorphic(n):
-            chi = oracles.chromatic_dp(list(build_confusion(g).adj))
+            chi = oracles.chromatic_dp(list(build_confusion(g)))
             assert ell_star(g) == (chi - 1).bit_length()
 
 

@@ -214,6 +214,23 @@ def test_categorize_is_total_on_the_supported_range():
     assert girths == {None: 8117, 3: 1427, 4: 272, 5: 30}
 
 
+def test_girth_matches_the_permutation_oracle():
+    # every undirected graph with n <= 5, alone and with a one-way arc
+    # i->j (i < j) on every pair that is not an edge
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for chosen in range(1 << len(pairs)):
+            edges, arcs = [0] * n, [0] * n
+            for b, (i, j) in enumerate(pairs):
+                if chosen >> b & 1:
+                    edges[i] |= 1 << j
+                    edges[j] |= 1 << i
+                else:
+                    arcs[i] |= 1 << j
+            for rows in (tuple(edges), tuple(e | a for e, a in zip(edges, arcs))):
+                assert undirected_girth(Digraph(n, rows)) == oracles.undirected_girth(n, rows)
+
+
 def test_one_way_arcs_do_not_close_undirected_cycles():
     g = parse_digraph("n 3 ; 1-2 2-3 3->1")
     assert undirected_girth(g) is None
