@@ -74,20 +74,6 @@ def mais(g: Digraph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _row_string_order(n: int) -> tuple[int, ...]:
-    """All n-bit masks ordered by their row strings, char j being the
-    coefficient of x_{j+1}: the bit-reversals of 0, 1, 2, ..."""
-    return tuple(int(format(k, f"0{n}b")[::-1], 2) for k in range(1 << n))
-
-
-@lru_cache(maxsize=None)
-def _candidates(n: int, i: int, allowed: int) -> tuple[int, ...]:
-    """Rows for vertex i: e_i plus any subset of the other allowed
-    columns, in row-string order."""
-    return tuple(m for m in _row_string_order(n) if m >> i & 1 and not m & ~allowed)
-
-
-@lru_cache(maxsize=None)
 def _containing(n: int, k: int) -> tuple[int, ...]:
     """Per n-bit vector v, the k-dimensional subspaces of GF(2)^n that hold
     v, as a bit set over the subspaces.  The subspaces are numbered by
@@ -112,9 +98,13 @@ def _reach(n: int, k: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]
     """Per vertex i and prior set r of i, indexed [i][r]: the k-dimensional
     subspaces that hold some candidate row of i, as a bit set in the
     numbering of _containing, and the candidates in row-string order, each
-    paired with the subspaces that hold it.  A set r holding i itself
-    shares the entry of r without i."""
+    paired with the subspaces that hold it.  The candidates are the masks
+    that hold i and no vertex outside r | 1 << i, and row-string order,
+    char j being the coefficient of x_{j+1}, lists the masks as the
+    bit-reversals of 0, 1, 2, ...  A set r holding i itself shares the
+    entry of r without i."""
     holders = _containing(n, k)
+    order = [int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)]
     table = []
     for i in range(n):
         entries = []
@@ -122,7 +112,8 @@ def _reach(n: int, k: int) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]
             if prior >> i & 1:
                 entries.append(entries[prior ^ 1 << i])
             else:
-                pairs = tuple((holders[cand], cand) for cand in _candidates(n, i, prior | 1 << i))
+                outside = ~(prior | 1 << i)
+                pairs = tuple((holders[m], m) for m in order if m >> i & 1 and not m & outside)
                 entries.append((reduce(or_, (held for held, _ in pairs)), pairs))
         table.append(tuple(entries))
     return tuple(table)

@@ -56,12 +56,6 @@ class LinearCode:
     def length(self) -> int:
         return len(self.rows)
 
-    def encode(self, x: int) -> int:
-        cw = 0
-        for r, row in enumerate(self.rows):
-            cw |= ((row & x).bit_count() & 1) << r
-        return cw
-
 
 @dataclass(frozen=True)
 class GeneralCode:
@@ -77,9 +71,6 @@ class GeneralCode:
         for cw in self.table:
             if cw >> self.length:
                 raise ValueError("codeword wider than the declared length")
-
-    def encode(self, x: int) -> int:
-        return self.table[x]
 
 
 def linear_code_from_matrix(n: int, rows: tuple[int, ...] | list[int]) -> LinearCode:

@@ -13,6 +13,7 @@ the one-arc steps between them, instead of canonicalizing graph by graph.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from array import array
 from dataclasses import dataclass
@@ -24,8 +25,7 @@ from typing import Iterator, NamedTuple
 MAX_ENUM_VERTICES = 5
 
 _TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$", re.ASCII)
-_CHUNK_BITS = 10
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_CHUNK_MASK = 0x3FF  # the low chunk of an adjacency code (see _code_images)
 _ARC_BITS = tuple(1 << b for b in range(MAX_ENUM_VERTICES * (MAX_ENUM_VERTICES - 1)))  # one-arc adjacency codes
 
 
@@ -270,65 +270,38 @@ def digraph_from_key(key: CanonicalKey) -> Digraph:
 
 
 @lru_cache(maxsize=None)
-def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per permutation: where each adjacency-code bit index lands after relabeling."""
+def _bit_images(n: int) -> tuple[array, ...]:
+    """_bit_images(n)[b] holds the one-bit code that adjacency-code bit b
+    moves to under each permutation, in itertools.permutations order."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pos = {pq: p for p, pq in enumerate(pairs)}
-    top = len(pairs) - 1
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        m = [0] * len(pairs)
-        for p, (i, j) in enumerate(pairs):
-            q = pos[(perm[i], perm[j])]
-            m[top - p] = top - q
-        maps.append(tuple(m))
-    return tuple(maps)
-
-
-class _ChunkRows(dict):
-    """Relabeling rows of one chunk of the adjacency code, by chunk value,
-    each built on first use.  The row of value v is the row of v without
-    its lowest bit ORed with that bit's row, so a missing row costs at most
-    one array pass per set bit, fewer when the rows it rests on exist."""
-
-    def __init__(self, bit_rows: list[array], perms: int):
-        super().__init__({0: array("I", [0]) * perms})
-        self._bit_rows = bit_rows
-
-    def __missing__(self, value: int) -> array:
-        if not 0 < value < 1 << len(self._bit_rows):
-            raise KeyError(value)
-        low = value & -value
-        row = self[value] = array("I", map(or_, self[value ^ low], self._bit_rows[low.bit_length() - 1]))
-        return row
+    bit = {pair: len(pairs) - 1 - p for p, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    return tuple(array("I", [1 << bit[perm[i], perm[j]] for perm in perms]) for i, j in reversed(pairs))
 
 
 @lru_cache(maxsize=None)
-def _perm_chunk_rows(n: int) -> tuple[_ChunkRows, _ChunkRows]:
-    """Relabeling rows indexed by chunk value, so the images of an adjacency
-    code under all n! permutations are one C-level pass over two rows.
-
-    low[v][p] is the image of the low 10-bit chunk v under permutation p of
-    _perm_bit_maps(n), high[v][p] that of the high chunk v; the image of a
-    code is low[code & 0x3ff][p] | high[code >> 10][p].  n <= 5 means at
-    most 20 code bits, so two chunks always cover the code (high holds only
-    the all-zero row when the code has 10 bits or fewer).  A row is built
-    when it is first read, so a single query builds a few and a sweep all."""
-    nbits = n * (n - 1)
-    maps = _perm_bit_maps(n)
-    bit_rows = [array("I", [1 << m[bit] for m in maps]) for bit in range(nbits)]
-    return _ChunkRows(bit_rows[:_CHUNK_BITS], len(maps)), _ChunkRows(bit_rows[_CHUNK_BITS:], len(maps))
+def _code_images(n: int, bits: int) -> array:
+    """The images of the code bits `bits` under every permutation, in
+    permutation order: those of bits without its lowest set bit ORed with
+    that bit's _bit_images row, so a missing entry costs at most one array
+    pass per set bit, fewer when the entries it rests on exist.  Callers
+    pass one 10-bit chunk of a code at a time, code & 0x3ff and
+    code & ~0x3ff, which bounds the cache at 2 * 2^10 entries per n; a
+    single query builds about ten, orbit_table(5) 1069."""
+    if not bits:
+        return array("I", [0]) * math.factorial(n)
+    low = bits & -bits
+    return array("I", map(or_, _code_images(n, bits ^ low), _bit_images(n)[low.bit_length() - 1]))
 
 
 def _relabelings(n: int, code: int) -> Iterator[int]:
     """Adjacency codes of all n! relabelings of code, in permutation order."""
-    low, high = _perm_chunk_rows(n)
-    return map(or_, low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS])
+    return map(or_, _code_images(n, code & _CHUNK_MASK), _code_images(n, code & ~_CHUNK_MASK))
 
 
 @lru_cache(maxsize=None)
 def _least_row_gathers(n: int) -> tuple[tuple[itemgetter | None, ...], ...]:
-    """_least_row_gathers(n)[v][r] picks, from a relabeling row, the
+    """_least_row_gathers(n)[v][r] picks, from an array of _code_images, the
     permutations that put vertex v, with out-neighbour set r, at label 0
     and r on the top |r| labels.  Row 0 is the code's most significant
     field, and it reads 2^|r| - 1 exactly under those permutations, the
@@ -351,8 +324,7 @@ def canonical_key(g: Digraph) -> CanonicalKey:
     should not pay for the 2^(n(n-1))-entry sweep.  Only the relabelings
     that can give the minimum are read (see _least_row_gathers)."""
     code = adjacency_code(g)
-    low, high = _perm_chunk_rows(g.n)
-    low_row, high_row = low[code & _CHUNK_MASK], high[code >> _CHUNK_BITS]
+    low_row, high_row = _code_images(g.n, code & _CHUNK_MASK), _code_images(g.n, code & ~_CHUNK_MASK)
     least = min(map(int.bit_count, g.rows))
     lows: list[int] = []
     highs: list[int] = []

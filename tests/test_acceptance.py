@@ -14,7 +14,6 @@ from indexcoding.codec import (
     parse_code,
     receiver_decodes,
 )
-from indexcoding.confusion import build_confusion
 from indexcoding.graph import (
     Digraph,
     canonical_key,
@@ -65,6 +64,28 @@ def test_criterion_02_optimal_length_equals_minrank_on_all_9846_classes(full_rec
     assert len(full_records) == sum(EXPECTED_CLASS_COUNTS.values()) == 9846
     assert all(r.ell_star == r.minrank for r in full_records)
     assert summarize(full_records).violations == ()
+
+
+def test_criterion_02_every_report_lower_bound_holds_by_the_oracles(full_records):
+    # the pinned report's lower bounds read back by their definitions alone:
+    # where ell_star = mais, an acyclic vertex set of that size bounds the
+    # length from below; on each gap line 32 tuples over an independence
+    # number of 5 force more than 4 colors, so no code has 2 bits
+    header, *lines = report_text(full_records).splitlines()
+    counts = {"0": 0, "1": 0}
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        n, ell_star = int(row["n"]), int(row["ell_star"])
+        rows = oracles.rows_from_key(n, int(row["canonical_key"], 16))
+        counts[row["gap"]] += 1
+        if row["gap"] == "0":
+            assert ell_star == int(row["mais"])
+            assert any(oracles.acyclic(*oracles.induced(n, rows, s)) for s in combinations(range(n), ell_star))
+        else:
+            assert (n, int(row["mais"]), ell_star) == (5, 2, 3)
+            alpha = oracles.independence_number(oracles.confusion_adjacency(n, rows))
+            assert alpha == 5 and -(-32 // alpha) > 4
+    assert counts == {"0": 9818, "1": 28}
 
 
 def test_criterion_03_mais_at_least_n_minus_2_forces_equality(full_records):
@@ -143,7 +164,7 @@ def test_criterion_08_codec_soundness(full_records):
         assert isinstance(code, LinearCode)
         assert code.length == r.minrank == r.ell_star
         assert all(receiver_decodes(g, code))
-        assert oracles.decodes(g.n, g.rows, code.encode)
+        assert oracles.decodes(g.n, g.rows, oracles.linear_encoder(code.rows))
     # validity coincides with proper confusion-graph coloring, both
     # directions, exhaustively over all linear codes up to three messages
     populations = {True: 0, False: 0}
@@ -154,7 +175,7 @@ def test_criterion_08_codec_soundness(full_records):
                 for rows in product(range(1 << n), repeat=length):
                     code = LinearCode(n, rows)
                     valid = all(receiver_decodes(g, code))
-                    proper = oracles.proper_coloring(adj, tuple(code.encode(x) for x in range(1 << n)))
+                    proper = oracles.proper_coloring(adj, tuple(map(oracles.linear_encoder(rows), range(1 << n))))
                     assert valid == proper
                     populations[valid] += 1
     assert populations[True] and populations[False]
@@ -193,7 +214,7 @@ def test_criterion_09_spot_values():
         assert all(all_ones[i] >> i & 1 and (all_ones[i] ^ (1 << i)) & ~g.rows[i] == 0 for i in range(n))
         r = analyze(g)
         assert (r.mais, r.minrank, r.ell_star) == (1, 1, 1)
-        assert oracles.decodes(n, g.rows, parse_code(r.code).encode)
+        assert oracles.decodes(n, g.rows, oracles.linear_encoder(parse_code(r.code).rows))
 
     pentagon = parse_digraph(PENTAGON_TEXT)
     assert oracles.mais_order(5, pentagon.rows) == 2
@@ -208,7 +229,7 @@ def test_criterion_09_spot_values():
     assert -(-32 // alpha) > 4
     code = parse_code(r.code)
     assert code.length == 3
-    assert oracles.decodes(5, pentagon.rows, code.encode)
+    assert oracles.decodes(5, pentagon.rows, oracles.linear_encoder(code.rows))
 
 
 def test_criterion_10_reports_are_worker_count_invariant(full_records, tmp_path):

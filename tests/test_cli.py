@@ -43,14 +43,27 @@ def test_cli_import_builds_no_parser():
 
 
 def test_one_find_code_call_builds_few_relabeling_rows():
-    # rows are built on first read, so a single query does not pay for the
-    # 2048 a sweep reads
+    # chunk images are built on first read, so a single query does not pay
+    # for the thousand or so a sweep reads
     probe = (
         "import contextlib, io, indexcoding.cli as cli, indexcoding.graph as graph\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['find-code', '--graph', {PENTAGON_TEXT!r}]) == 0\n"
-        "built = sum(map(len, graph._perm_chunk_rows(5)))\n"
+        "built = graph._code_images.cache_info().currsize\n"
         "assert built < 64, built\n"
+    )
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_five_vertex_orbit_table_reads_at_most_two_chunks_of_images():
+    # every caller splits a code into its two 10-bit chunks, so the image
+    # cache holds at most 2 * 2^10 entries however many codes are relabeled
+    probe = (
+        "import indexcoding.graph as graph\n"
+        "graph.orbit_table(5)\n"
+        "built = graph._code_images.cache_info().currsize\n"
+        "assert built <= 2048, built\n"
     )
     proc = _fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr

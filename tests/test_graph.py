@@ -1,8 +1,10 @@
 """Graph parsing, structure queries, canonical labeling, enumeration."""
 
 import random
+from functools import reduce
 from itertools import permutations, product
 from math import factorial
+from operator import or_
 
 import pytest
 
@@ -326,16 +328,17 @@ def test_enumeration_counts_and_canonical_order():
 
 
 def test_chunk_rows_give_every_relabeling_in_permutation_order():
-    # rows are built on first read: every chunk value reads a row, and a
-    # value past the chunk's width is no key
+    # the images of every value of each 10-bit chunk are the OR of the
+    # images of its set bits
     for n in (1, 2, 3, 4, 5):
-        low, high = graph._perm_chunk_rows(n)
+        bit_images = graph._bit_images(n)
         nbits = n * (n - 1)
-        for rows, width in ((low, min(nbits, 10)), (high, max(nbits - 10, 0))):
+        for shift, width in ((0, min(nbits, 10)), (10, max(nbits - 10, 0))):
             for value in range(1 << width):
-                assert rows[value].typecode == "I" and len(rows[value]) == factorial(n)
-            with pytest.raises(KeyError):
-                rows[1 << width]
+                images = graph._code_images(n, value << shift)
+                assert images.typecode == "I" and len(images) == factorial(n)
+                set_bits = [b for b in range(nbits) if value << shift >> b & 1]
+                assert list(images) == [reduce(or_, (bit_images[b][p] for b in set_bits), 0) for p in range(factorial(n))]
     rng = random.Random(71)
     for n in (1, 2, 3, 4, 5):
         codes = range(1 << (n * (n - 1))) if n <= 4 else [rng.getrandbits(20) for _ in range(2000)]

@@ -76,7 +76,7 @@ def test_analyze_pentagon():
     assert r.chromatic == 8
     code = parse_code(r.code)
     assert code.length == 3
-    assert oracles.decodes(5, PENTAGON.rows, code.encode)
+    assert oracles.decodes(5, PENTAGON.rows, oracles.linear_encoder(code.rows))
 
 
 def test_record_line_roundtrip():
@@ -187,8 +187,8 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
     first_two_rows = ";".join(good.code.split(";")[:2])
     code = parse_code(good.code)
-    table = tuple(code.encode(x) for x in range(1 << 5))
-    old_general_form = ";".join(f"{bits_from_mask(x, 5)} {bits_from_mask(cw, 3)}" for x, cw in enumerate(table))
+    encode = oracles.linear_encoder(code.rows)
+    old_general_form = ";".join(f"{bits_from_mask(x, 5)} {''.join(map(str, encode(x)))}" for x in range(1 << 5))
     moved = Digraph(5, oracles.relabel(5, digraph_from_key(good.key).rows, (1, 0, 2, 3, 4)))
     assert adjacency_code(moved) != good.key.key
     uncertified = [
