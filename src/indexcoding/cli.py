@@ -13,7 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from indexcoding.bounds import mais
-from indexcoding.codec import parse_code, receiver_decodes
+from indexcoding.codec import LinearCode, bits_from_mask, receiver_decodes, serialize_code
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
     Digraph,
@@ -84,8 +84,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"category: {record.category if record.category else 'n/a'}")
     print(f"chromatic: {record.chromatic if record.chromatic else 'n/a'}")
     print("code:")
-    for row in record.code.split(";"):
-        print(f"  {row}")
+    for row in record.code:
+        print(f"  {bits_from_mask(row, record.n)}")
     return 0
 
 
@@ -106,16 +106,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_find_code(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     record = analyze(g)
-    code = parse_code(record.code)
+    code = LinearCode(g.n, record.code)
     decodes = receiver_decodes(g, code)
     valid = code.length == record.ell_star and all(decodes)
     if args.format == "csv":
-        print(record.code)
+        print(serialize_code(g.n, record.code))
         return 0 if valid else 1
     print(f"ell_star: {record.ell_star}")
     print(f"code (linear, length {code.length}):")
-    for r, line in enumerate(record.code.split(";")):
-        print(f"  bit {r + 1}: {line} = {_linear_row_terms(code.rows[r], g.n)}")
+    for r, row in enumerate(code.rows):
+        print(f"  bit {r + 1}: {bits_from_mask(row, g.n)} = {_linear_row_terms(row, g.n)}")
     for i, ok in enumerate(decodes):
         print(f"receiver {i + 1}: decodes x{i + 1}: {'ok' if ok else 'FAIL'}")
     return 0 if valid else 1

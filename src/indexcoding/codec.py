@@ -120,13 +120,15 @@ def _row_texts(n: int) -> tuple[str, ...]:
     return tuple(bits_from_mask(mask, n) for mask in range(1 << n))
 
 
-def serialize_code(code: LinearCode) -> str:
-    """One row mask string per output bit, joined by ";"."""
-    return ";".join(map(_row_texts(code.n_messages).__getitem__, code.rows))
+def serialize_code(n: int, rows: tuple[int, ...]) -> str:
+    """The text of the linear code on n messages with these row masks: one
+    row mask string per output bit, joined by ";"."""
+    return ";".join(map(_row_texts(n).__getitem__, rows))
 
 
 def parse_code(text: str) -> LinearCode:
-    """Inverse of serialize_code."""
+    """Inverse of serialize_code.  The package never reads code text back:
+    a record holds its code's row masks."""
     lines = [ln.strip() for ln in text.split(";")]
     lines = [ln for ln in lines if ln]
     if not lines:

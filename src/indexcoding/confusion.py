@@ -157,10 +157,10 @@ def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> boo
 
     A k-coloring leaves slack alpha * k - nv, the sum of alpha - |class|
     over its k classes, so at most slack classes fall short of alpha and
-    at least k - slack are pairwise disjoint maximum independent sets.
-    When k - slack >= 1 the graph is therefore k-colorable iff some
-    packing of k - slack disjoint maximum independent sets leaves a
-    remainder that the exhaustive search colors with slack colors.  When
+    at least need = max(k - slack, 0) are pairwise disjoint maximum
+    independent sets.  The graph is therefore k-colorable iff some packing
+    of need disjoint maximum independent sets leaves a remainder that the
+    exhaustive search colors with the other min(slack, k) colors.  When
     that remainder is not empty, translating by one of its vertices moves
     the packing off vertex 0 and maps the remainder's coloring along, so
     only packings of sets that avoid 0 are tried.
@@ -170,16 +170,14 @@ def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> boo
     slack = alpha * k - nv
     if slack < 0:
         return False
-    need = k - slack
+    need = max(k - slack, 0)
     full = (1 << nv) - 1
-    if need <= 0:
-        return _search_coloring(adj, full, k) is not None
     if nv > need * alpha:
         maximum_sets = [s for s in maximum_sets if not s & 1]
 
     def pack(start: int, used: int, left: int) -> bool:
         if left == 0:
-            return _search_coloring(adj, full & ~used, slack) is not None
+            return _search_coloring(adj, full & ~used, min(slack, k)) is not None
         for index in range(start, len(maximum_sets) - left + 1):
             s = maximum_sets[index]
             if not s & used and pack(index + 1, used | s, left - 1):

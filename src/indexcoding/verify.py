@@ -44,25 +44,33 @@ class VerificationRecord:
     """Everything measured about one isomorphism class.
 
     The canonical key pins the class and decodes back to its representative,
-    so records are self-contained.  category is set only for n = 5,
-    mais = 2; chromatic is 0 unless the confusion graph was actually
-    colored.
+    so records are self-contained.  code holds the row masks of the witness
+    code, x_{j+1} at bit j; minrank and gap are read off the fields they
+    follow from, so a record cannot disagree with itself.  category is set
+    only for n = 5, mais = 2; chromatic is 0 unless the confusion graph was
+    actually colored.
     """
 
     key: CanonicalKey
     arcs: int
     edges: int
     mais: int
-    minrank: int
     ell_star: int
-    gap: bool
     category: int
     chromatic: int
-    code: str
+    code: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.key.n
+
+    @property
+    def minrank(self) -> int:
+        return len(self.code)
+
+    @property
+    def gap(self) -> bool:
+        return self.ell_star > self.mais
 
     @cached_property
     def line(self) -> str:
@@ -80,27 +88,8 @@ class VerificationRecord:
                 "1" if self.gap else "0",
                 str(self.category),
                 str(self.chromatic),
-                self.code,
+                serialize_code(self.key.n, self.code),
             )
-        )
-
-    @classmethod
-    def from_line(cls, line: str) -> "VerificationRecord":
-        fields = line.rstrip("\n").split(",")
-        if len(fields) != 11:
-            raise ValueError(f"expected 11 record fields, got {len(fields)}")
-        key_hex, n, arcs, edges, lo, hi, ell, gap, category, chromatic, code = fields
-        return cls(
-            key=CanonicalKey(int(n), int(key_hex, 16)),
-            arcs=int(arcs),
-            edges=int(edges),
-            mais=int(lo),
-            minrank=int(hi),
-            ell_star=int(ell),
-            gap=gap == "1",
-            category=int(category),
-            chromatic=int(chromatic),
-            code=code,
         )
 
 
@@ -122,9 +111,10 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     """Measure one graph: bounds, exact length, category, witness code.
 
     This is the one derivation of a record; a cold sweep writes what it
-    returns, and a cache line is reused only if it equals it.  minrank is
-    the length of the minrank witness code.  Equal bounds settle the
-    length by the sandwich alone.  Otherwise the confusion graph is colored
+    returns, and a cache line is reused only if its bytes equal the
+    record's line.  The record keeps the rows of the minrank witness code,
+    so minrank is their count.  Equal bounds settle the length by the
+    sandwich alone.  Otherwise the confusion graph is colored
     exactly and the length is the bit width of its chromatic number,
     recorded alongside.  The theorem makes the witness code optimal, and a
     class where it is not shows up as a violation in `summarize`.  For a g
@@ -136,9 +126,8 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         key = canonical_key(g)
     lo = mais(g)
     code = linear_code_from_matrix(g.n, minrank_witness(g, lo)[1])
-    hi = code.length
     chromatic, ell = 0, lo
-    if lo != hi:
+    if lo != code.length:
         chromatic = chromatic_number(build_confusion(g))
         ell = (chromatic - 1).bit_length()
     return VerificationRecord(
@@ -146,12 +135,10 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         arcs=g.arc_count(),
         edges=g.edge_count(),
         mais=lo,
-        minrank=hi,
         ell_star=ell,
-        gap=ell > lo,
         category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
         chromatic=chromatic,
-        code=serialize_code(code),
+        code=code.rows,
     )
 
 
@@ -159,23 +146,17 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
     return analyze(digraph_from_key(key), key=key)
 
 
-def _certified(record: VerificationRecord) -> bool:
-    """True iff the record equals, field for field, the record a cold run
-    builds for its key, so a reused line is the line a cold run writes."""
-    return record == _analyze_key(record.key)
-
-
 def load_cache(
     path: str | Path, keys: Iterable[CanonicalKey]
 ) -> dict[CanonicalKey, VerificationRecord]:
-    """Record lines for the given keys, keyed by canonical key.  A line is
-    kept only if it equals the record a cold run builds for its key, so
-    the records returned are those a cold run would return.  Lines for
-    other keys, and any further line for a key whose record is already
-    kept (only one line can equal the cold record), are skipped without a
-    replay; torn, malformed, non-UTF-8 or uncertified lines are skipped
-    too, so a crashed run's cache still loads and a stale or edited class
-    is recomputed."""
+    """Records for the given keys, keyed by canonical key.  Only a line's
+    key is read, from its first two fields; the line is kept only if its
+    bytes equal the line a fresh analysis of that key renders, so the
+    records returned are those a cold run would return.  Lines for other
+    keys, and any further line for a key whose record is already kept
+    (only one line can equal the cold line), are skipped without a replay;
+    torn, non-UTF-8 or respelled lines are skipped too, so a crashed run's
+    cache still loads and a stale or edited class is recomputed."""
     wanted = set(keys)
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
@@ -183,11 +164,15 @@ def load_cache(
         return cache
     for raw in p.read_bytes().splitlines():
         try:
-            record = VerificationRecord.from_line(raw.decode())
+            line = raw.decode()
+            key_hex, n = line.split(",", 2)[:2]
+            key = CanonicalKey(int(n), int(key_hex, 16))
         except ValueError:  # UnicodeDecodeError included
             continue
-        if record.key in wanted and record.key not in cache and _certified(record):
-            cache[record.key] = record
+        if key in wanted and key not in cache:
+            record = _analyze_key(key)
+            if record.line == line:
+                cache[key] = record
     return cache
 
 
@@ -220,9 +205,9 @@ def run_sweep(
     orders: Iterable[int], jobs: int = 1, cache_path: str | Path | None = None
 ) -> list[VerificationRecord]:
     """Analyze every isomorphism class of the given orders, sorted by
-    canonical key.  A cached line is reused only if it equals the record
-    its analysis builds, so the records, and the report bytes, are a cold
-    run's for any cache content.  The cache is opened before any
+    canonical key.  A cached line is reused only if its bytes equal the
+    line its analysis renders, so the records, and the report bytes, are
+    a cold run's for any cache content.  The cache is opened before any
     analysis, so a bad path fails at once, and each fresh record is
     appended as it arrives, so an interrupted run keeps its work.  The keys
     are read from the orbit tables, so each uncached class representative

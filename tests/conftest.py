@@ -32,6 +32,6 @@ def edge_class_violation(monkeypatch):
 
     def wrong_for_the_edge_class(g, *, key):
         r = analyze_one(g, key=key)
-        return replace(r, ell_star=2, gap=True) if key == CanonicalKey(2, 3) else r
+        return replace(r, ell_star=2) if key == CanonicalKey(2, 3) else r
 
     monkeypatch.setattr(verify, "analyze", wrong_for_the_edge_class)

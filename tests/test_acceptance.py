@@ -9,11 +9,7 @@ from itertools import combinations, product
 
 import oracles
 from indexcoding.bounds import mais
-from indexcoding.codec import (
-    LinearCode,
-    parse_code,
-    receiver_decodes,
-)
+from indexcoding.codec import LinearCode, receiver_decodes
 from indexcoding.graph import (
     Digraph,
     canonical_key,
@@ -160,8 +156,7 @@ def test_criterion_08_codec_soundness(full_records):
     assert len(small) == 238
     for r in small:
         g = digraph_from_key(r.key)
-        code = parse_code(r.code)
-        assert isinstance(code, LinearCode)
+        code = LinearCode(r.n, r.code)
         assert code.length == r.minrank == r.ell_star
         assert all(receiver_decodes(g, code))
         assert oracles.decodes(g.n, g.rows, oracles.linear_encoder(code.rows))
@@ -214,7 +209,7 @@ def test_criterion_09_spot_values():
         assert all(all_ones[i] >> i & 1 and (all_ones[i] ^ (1 << i)) & ~g.rows[i] == 0 for i in range(n))
         r = analyze(g)
         assert (r.mais, r.minrank, r.ell_star) == (1, 1, 1)
-        assert oracles.decodes(n, g.rows, oracles.linear_encoder(parse_code(r.code).rows))
+        assert oracles.decodes(n, g.rows, oracles.linear_encoder(r.code))
 
     pentagon = parse_digraph(PENTAGON_TEXT)
     assert oracles.mais_order(5, pentagon.rows) == 2
@@ -227,9 +222,8 @@ def test_criterion_09_spot_values():
     adj = oracles.confusion_adjacency(5, pentagon.rows)
     alpha = oracles.independence_number(adj)
     assert -(-32 // alpha) > 4
-    code = parse_code(r.code)
-    assert code.length == 3
-    assert oracles.decodes(5, pentagon.rows, oracles.linear_encoder(code.rows))
+    assert len(r.code) == 3
+    assert oracles.decodes(5, pentagon.rows, oracles.linear_encoder(r.code))
 
 
 def test_criterion_10_reports_are_worker_count_invariant(full_records, tmp_path):

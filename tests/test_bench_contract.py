@@ -10,7 +10,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-from indexcoding.verify import check_monotonicity
+from indexcoding.graph import parse_digraph
+from indexcoding.verify import analyze, check_monotonicity, report_text, run_sweep
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -36,3 +37,18 @@ def test_traced_layers_name_package_functions():
 def test_check_monotonicity_takes_n_first():
     # the traced run labels its spans by order from the first argument
     assert next(iter(inspect.signature(check_monotonicity).parameters)) == "n"
+
+
+def test_run_sweep_and_report_text_signatures():
+    # the traced run calls run_sweep(orders, jobs=jobs), takes len() of the
+    # records, and renders them with report_text(records) alone
+    records = run_sweep(range(1, 3), jobs=1)
+    assert len(records) == 4
+    inspect.signature(report_text).bind(records)
+    assert report_text(records).count("\n") == 5
+
+
+def test_analyze_result_has_both_bounds():
+    # the traced run counts the classes the sandwich settles as mais == minrank
+    r = analyze(parse_digraph("n 3 ; 1-2 2-3"))
+    assert (r.mais, r.minrank) == (2, 2)

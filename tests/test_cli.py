@@ -4,7 +4,6 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from indexcoding.cli import main
 from indexcoding.codec import parse_code
 from indexcoding.graph import CanonicalKey, canonical_key, orbit_table, parse_digraph
 from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text
+from test_verify import edit_line
 
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
@@ -466,7 +466,7 @@ def test_verify_recomputes_a_lowered_cached_class(tmp_path, capsys, full_records
     clean_out = capsys.readouterr().out
     pentagon = canonical_key(parse_digraph(PENTAGON_TEXT))
     cache.write_text("".join(
-        replace(r, minrank=2, ell_star=2, gap=False).line + "\n" if r.key == pentagon
+        edit_line(r.line, minrank="2", ell_star="2", gap="0") + "\n" if r.key == pentagon
         else r.line + "\n"
         for r in full_records
     ))

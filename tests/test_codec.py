@@ -106,7 +106,7 @@ def test_linear_decoding_matches_the_oracle_exhaustively(full_records):
     seen = {True: 0, False: 0}
     for r in full_records:
         g = digraph_from_key(r.key)
-        rows = list(parse_code(r.code).rows)
+        rows = list(r.code)
         rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(r.n)
         code = LinearCode(r.n, tuple(rows))
         valid = all(receiver_decodes(g, code))
@@ -154,7 +154,7 @@ def test_colorings_convert_to_valid_codes():
 
 def test_serialize_parse_roundtrip_linear():
     code = LinearCode(4, (0b0111, 0b1110))
-    text = serialize_code(code)
+    text = serialize_code(4, code.rows)
     assert text == "1110;0111"
     assert parse_code(text) == code
     # blank rows and surrounding spaces are ignored

@@ -12,7 +12,7 @@ import pytest
 import indexcoding.graph as graph
 import indexcoding.verify as verify
 import oracles
-from indexcoding.codec import bits_from_mask, parse_code
+from indexcoding.codec import bits_from_mask
 from indexcoding.confusion import ell_star
 from indexcoding.graph import (
     CanonicalKey,
@@ -51,6 +51,15 @@ def class_keys(*orders):
     return [CanonicalKey(n, code) for n in orders for code in orbit_table(n).reps]
 
 
+def edit_line(line, **fields):
+    """A record line with the named REPORT_HEADER columns set to new text."""
+    columns = REPORT_HEADER.split(",")
+    values = line.split(",")
+    for name, text in fields.items():
+        values[columns.index(name)] = text
+    return ",".join(values)
+
+
 def test_analyze_fig_graph():
     r = analyze(FIG)
     assert (r.mais, r.minrank, r.ell_star) == (2, 2, 2)
@@ -58,14 +67,15 @@ def test_analyze_fig_graph():
     assert not r.gap
     assert r.category == 0  # reserved for five-vertex mais-2 classes
     assert r.chromatic == 0  # bounds met, no coloring needed
-    assert r.code == "1110;0111"
+    assert r.code == (0b0111, 0b1110)
+    assert r.line.endswith(",1110;0111")
     assert r.key == canonical_key(FIG)
 
 
 def test_analyze_single_vertex():
     r = analyze(parse_digraph("n 1"))
     assert (r.mais, r.minrank, r.ell_star) == (1, 1, 1)
-    assert r.code == "1"
+    assert r.code == (1,)
 
 
 def test_analyze_pentagon():
@@ -74,29 +84,8 @@ def test_analyze_pentagon():
     assert r.gap
     assert r.category == 4
     assert r.chromatic == 8
-    code = parse_code(r.code)
-    assert code.length == 3
-    assert oracles.decodes(5, PENTAGON.rows, oracles.linear_encoder(code.rows))
-
-
-def test_record_line_roundtrip():
-    r = analyze(PENTAGON)
-    assert VerificationRecord.from_line(r.line) == r
-    general = VerificationRecord(
-        key=CanonicalKey(2, 3),
-        arcs=2,
-        edges=1,
-        mais=1,
-        minrank=1,
-        ell_star=1,
-        gap=False,
-        category=0,
-        chromatic=2,
-        code="00 0;01 1;10 1;11 0",
-    )
-    assert VerificationRecord.from_line(general.line) == general
-    with pytest.raises(ValueError):
-        VerificationRecord.from_line("0x0,1,0")
+    assert len(r.code) == 3
+    assert oracles.decodes(5, PENTAGON.rows, oracles.linear_encoder(r.code))
 
 
 def test_run_sweep_orders_and_counts():
@@ -185,35 +174,35 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
     cache = tmp_path / "cache.txt"
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.mais, good.minrank, good.ell_star) == (2, 3, 3)
-    first_two_rows = ";".join(good.code.split(";")[:2])
-    code = parse_code(good.code)
-    encode = oracles.linear_encoder(code.rows)
+    first_two_rows = ";".join(bits_from_mask(row, 5) for row in good.code[:2])
+    encode = oracles.linear_encoder(good.code)
     old_general_form = ";".join(f"{bits_from_mask(x, 5)} {''.join(map(str, encode(x)))}" for x in range(1 << 5))
     moved = Digraph(5, oracles.relabel(5, digraph_from_key(good.key).rows, (1, 0, 2, 3, 4)))
     assert adjacency_code(moved) != good.key.key
     uncertified = [
-        replace(good, minrank=2, ell_star=2, gap=False),  # code longer than minrank
-        replace(good, minrank=2, ell_star=2, gap=False, code=first_two_rows),  # does not decode
-        replace(good, mais=1),  # mais disagrees with a fresh computation
-        replace(good, ell_star=2, gap=False),  # ell_star disagrees with the chromatic number
-        replace(good, code="10x01"),  # code does not parse
-        replace(good, code="1000;0100;0010"),  # code for four messages
-        replace(good, code=old_general_form),  # "tuple codeword" text, no longer read
-        replace(good, code="11001;01001;00110"),  # another minimal code that decodes
+        edit_line(good.line, minrank="2", ell_star="2", gap="0"),  # code longer than minrank
+        edit_line(good.line, minrank="2", ell_star="2", gap="0", code=first_two_rows),  # does not decode
+        edit_line(good.line, mais="1"),  # mais disagrees with a fresh computation
+        edit_line(good.line, ell_star="2", gap="0"),  # ell_star disagrees with the chromatic number
+        edit_line(good.line, code="10x01"),  # code does not parse
+        edit_line(good.line, code="1000;0100;0010"),  # code for four messages
+        edit_line(good.line, code=old_general_form),  # "tuple codeword" text, no longer read
+        edit_line(good.line, code="11001;01001;00110"),  # another minimal code that decodes
         # right for the relabeled graph, but its key is not a canonical key
-        analyze(moved, key=CanonicalKey(5, adjacency_code(moved))),
+        analyze(moved, key=CanonicalKey(5, adjacency_code(moved))).line,
         # order outside 1..5: a six-cycle
-        VerificationRecord.from_line("0x6533298,6,12,6,3,3,3,0,0,0,100001;010100;001010"),
+        "0x6533298,6,12,6,3,3,3,0,0,0,100001;010100;001010",
+        "0x0,1,0",  # torn after three fields
     ]
     keys = [r.key for r in full_records]
     for bad in uncertified:
-        cache.write_text(bad.line + "\n")
+        cache.write_text(bad + "\n")
         assert load_cache(cache, keys) == {}
     cache.write_text(good.line + "\n")
     assert load_cache(cache, keys) == {good.key: good}
     # a full cache holding the other minimal code still gives the cold report
-    other = replace(good, code="11001;01001;00110")
-    cache.write_text("".join((other if r == good else r).line + "\n" for r in full_records))
+    other = edit_line(good.line, code="11001;01001;00110")
+    cache.write_text("".join((other if r == good else r.line) + "\n" for r in full_records))
     assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
 
 
@@ -223,23 +212,45 @@ def test_load_cache_drops_tampered_lines(tmp_path):
     clean_lines, clean_report = cache.read_text(), report_text(clean)
     target = next(r for r in clean if r.key == CanonicalKey(3, 5))
     assert target.mais == target.minrank and target.chromatic == 0
+    code_text = target.line.rsplit(",", 1)[1]
     tampered = [
-        replace(target, arcs=target.arcs + 1),
-        replace(target, edges=target.edges + 1),
-        replace(target, category=1),
-        replace(target, gap=not target.gap),
-        replace(target, ell_star=target.ell_star + 1),
-        replace(target, chromatic=9),
-        replace(target, code=" " + target.code.replace(";", " ; ") + " ;"),
+        edit_line(target.line, arcs=str(target.arcs + 1)),
+        edit_line(target.line, edges=str(target.edges + 1)),
+        edit_line(target.line, category="1"),
+        edit_line(target.line, gap="0" if target.gap else "1"),
+        edit_line(target.line, ell_star=str(target.ell_star + 1)),
+        edit_line(target.line, chromatic="9"),
+        edit_line(target.line, code=" " + code_text.replace(";", " ; ") + " ;"),
         # a longer code that decodes, with the lengths raised to match
-        replace(target, code="100;010;001", minrank=3, ell_star=3, gap=True),
+        edit_line(target.line, code="100;010;001", minrank="3", ell_star="3", gap="1"),
         # the same longer code with the line rebuilt from it: only minimality fails
-        replace(target, code="100;010;001", minrank=3, chromatic=4),
+        edit_line(target.line, code="100;010;001", minrank="3", chromatic="4"),
     ]
     for bad in tampered:
-        cache.write_text(clean_lines.replace(target.line, bad.line))
+        cache.write_text(clean_lines.replace(target.line, bad))
         assert load_cache(cache, class_keys(1, 2, 3)) == {r.key: r for r in clean if r != target}
         assert report_text(run_sweep([1, 2, 3], cache_path=cache)) == clean_report
+
+
+def test_respelled_cache_lines_are_recomputed(tmp_path):
+    # each line reads back as the cold record's values, but only the cold
+    # line's own bytes are kept, so the sweep writes that line once
+    cache = tmp_path / "cache.txt"
+    canonical = "0x7,3,3,1,2,2,2,0,0,0,100;011"
+    cold_report = report_text(run_sweep([3]))
+    assert canonical in cold_report.splitlines()
+    respelled = [
+        edit_line(canonical, gap="x"),
+        edit_line(canonical, n="+3"),
+        edit_line(canonical, arcs=" 3"),
+        edit_line(canonical, canonical_key="0X0007"),
+        edit_line(canonical, category="-0"),
+    ]
+    for bad in respelled:
+        cache.write_text(bad + "\n")
+        assert load_cache(cache, class_keys(3)) == {}
+        assert report_text(run_sweep([3], cache_path=cache)) == cold_report
+        assert cache.read_text().splitlines().count(canonical) == 1
 
 
 def test_load_cache_replays_the_chromatic_number(tmp_path, full_records):
@@ -247,12 +258,12 @@ def test_load_cache_replays_the_chromatic_number(tmp_path, full_records):
     cache = tmp_path / "cache.txt"
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.key.hex, good.chromatic, good.ell_star) == ("0x356ac", 8, 3)
-    forged = replace(good, chromatic=4, ell_star=2, gap=False)
-    cache.write_text(forged.line + "\n")
+    forged = edit_line(good.line, chromatic="4", ell_star="2", gap="0")
+    cache.write_text(forged + "\n")
     assert load_cache(cache, [good.key]) == {}
     # chi 5 keeps the bit width, so ell_star and gap still match the line
-    edited = replace(good, chromatic=5)
-    cache.write_text("".join((edited if r == good else r).line + "\n" for r in full_records))
+    edited = edit_line(good.line, chromatic="5")
+    cache.write_text("".join((edited if r == good else r.line) + "\n" for r in full_records))
     assert load_cache(cache, [good.key]) == {}
     assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
 
@@ -261,13 +272,13 @@ def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_reco
     cache = tmp_path / "cache.txt"
     cache.write_text("".join(r.line + "\n" for r in full_records))
     replayed = []
-    certified = verify._certified
+    analyze_key = verify._analyze_key
 
-    def counted(record):
-        replayed.append(record.key)
-        return certified(record)
+    def counted(key):
+        replayed.append(key)
+        return analyze_key(key)
 
-    monkeypatch.setattr(verify, "_certified", counted)
+    monkeypatch.setattr(verify, "_analyze_key", counted)
     assert run_sweep([3], cache_path=cache) == [r for r in full_records if r.n == 3]
     assert len(replayed) == 16
 
@@ -278,19 +289,20 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     cache = tmp_path / "cache.txt"
     cache.write_text("".join(r.line + "\n" for r in full_records) * 2)
     replayed = []
-    certified = verify._certified
+    analyze_key = verify._analyze_key
 
-    def counted(record):
-        replayed.append(record.key)
-        return certified(record)
+    def counted(key):
+        replayed.append(key)
+        return analyze_key(key)
 
-    monkeypatch.setattr(verify, "_certified", counted)
+    monkeypatch.setattr(verify, "_analyze_key", counted)
     assert run_sweep([3], cache_path=cache) == order3
     assert len(replayed) == 16
     # only one line per key can equal the cold record, so once a key's record
     # is kept, a later line for it is not replayed even when it differs
     replayed.clear()
-    cache.write_text("".join(r.line + "\n" for r in order3 + [replace(r, arcs=r.arcs + 1) for r in order3]))
+    edited = [edit_line(r.line, arcs=str(r.arcs + 1)) for r in order3]
+    cache.write_text("".join(line + "\n" for line in [r.line for r in order3] + edited))
     assert run_sweep([3], cache_path=cache) == order3
     assert len(replayed) == 16
 
@@ -298,7 +310,7 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
 def gap_record(n, key_code, arcs, edges):
     return VerificationRecord(
         key=CanonicalKey(n, key_code), arcs=arcs, edges=edges,
-        mais=2, minrank=2, ell_star=2, gap=True, category=0, chromatic=0, code="10;01",
+        mais=2, ell_star=3, category=0, chromatic=0, code=(0b01, 0b10),
     )
 
 
@@ -425,8 +437,7 @@ def test_report_roundtrip(tmp_path):
     text = path.read_text()
     assert text.startswith(REPORT_HEADER + "\n")
     assert path.read_bytes() == report_text(records).encode()
-    lines = text.splitlines()[1:]
-    assert [VerificationRecord.from_line(line) for line in lines] == records
+    assert text.splitlines()[1:] == [r.line for r in records]
 
 
 def test_full_report_bytes_are_pinned(full_records):
