@@ -164,6 +164,14 @@ def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> boo
     that remainder is not empty, translating by one of its vertices moves
     the packing off vertex 0 and maps the remainder's coloring along, so
     only packings of sets that avoid 0 are tried.
+
+    A translation is an automorphism, so a remainder R, which then holds
+    0, is colorable iff each of its translates R ^ u is.  Those that hold
+    0, the only ones that can be remainders, are the translates by the
+    vertices u of R.  So once R's search fails, they are all recorded as
+    failed, and a later packing that leaves one of them is not searched:
+    each translation class of remainders is searched at most once, and a
+    colorable remainder is reached no later than without the record.
     """
     nv = len(adj)
     alpha = maximum_sets[0].bit_count()
@@ -174,17 +182,32 @@ def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> boo
     full = (1 << nv) - 1
     if nv > need * alpha:
         maximum_sets = [s for s in maximum_sets if not s & 1]
+    translations = _translations(nv.bit_length() - 1)
+    failed: set[int] = set()
 
     def pack(start: int, used: int, left: int) -> bool:
         if left == 0:
-            return _search_coloring(adj, full & ~used, min(slack, k)) is not None
+            rest = full & ~used
+            if rest in failed:
+                return False
+            if _search_coloring(adj, rest, min(slack, k)) is not None:
+                return True
+            m = rest
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                failed.add(_translate(rest, translations[u]))
+            return False
         for index in range(start, len(maximum_sets) - left + 1):
             s = maximum_sets[index]
             if not s & used and pack(index + 1, used | s, left - 1):
                 return True
         return False
 
-    return pack(0, 0, need)
+    try:
+        return pack(0, 0, need)
+    finally:
+        failed.clear()  # pack refers to itself, so only the cycle collector would free the record
 
 
 def chromatic_number(adj: Sequence[int]) -> int:

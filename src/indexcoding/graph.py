@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
@@ -294,9 +295,13 @@ def _code_images(n: int, bits: int) -> array:
     return array("I", map(or_, _code_images(n, bits ^ low), _bit_images(n)[low.bit_length() - 1]))
 
 
-def _relabelings(n: int, code: int) -> Iterator[int]:
-    """Adjacency codes of all n! relabelings of code, in permutation order."""
-    return map(or_, _code_images(n, code & _CHUNK_MASK), _code_images(n, code & ~_CHUNK_MASK))
+def _relabelings(n: int, code: int) -> list[int]:
+    """Adjacency codes of all n! relabelings of code, in permutation order.
+    The two chunk rows are ORed lane by lane as one integer each: no lane
+    carries into the next, so this is the per-permutation OR in C."""
+    low, high = _code_images(n, code & _CHUNK_MASK), _code_images(n, code & ~_CHUNK_MASK)
+    lanes = int.from_bytes(low, sys.byteorder) | int.from_bytes(high, sys.byteorder)
+    return memoryview(lanes.to_bytes(low.itemsize * len(low), sys.byteorder)).cast(low.typecode).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -339,15 +344,13 @@ class OrbitTable(NamedTuple):
     """Isomorphism classes of all labeled digraphs on n <= 5 vertices.
 
     classes[code] is the index of the class of the labeled graph with that
-    adjacency code; reps[index] is the class's canonical key, i.e. the least
-    code in its orbit.  Indices follow ascending canonical key.
+    adjacency code, through a read-only view of 16-bit entries; reps[index]
+    is the class's canonical key, i.e. the least code in its orbit.
+    Indices follow ascending canonical key.
     """
 
-    classes: array
+    classes: memoryview
     reps: array
-
-
-_UNSEEN = 0xFFFF
 
 
 @lru_cache(maxsize=None)
@@ -355,21 +358,28 @@ def orbit_table(n: int) -> OrbitTable:
     """One sweep over all 2^(n(n-1)) labeled codes.  Each code not yet
     assigned opens a new class (it is the least member of its orbit, since
     the sweep ascends), and every relabeling of it is stamped with that
-    class's index; classes.index finds the next unassigned code, so the
-    assigned ones are skipped in C.  At n = 5 the table is 2^20 16-bit
-    entries (2 MiB) for 9608 classes; it is cached, so the sweep's keys,
-    the enumeration and the checks that look codes up share one build."""
+    class's index.  The table is a byte buffer of 16-bit entries, all
+    0xFFFF until stamped, so bytes.find reaches the next unassigned code
+    in C.  A match at an odd offset straddles two entries (on a big-endian
+    host, an index ending in 0xFF before an unassigned entry) and is
+    stepped past.  At n = 5 the table is 2^20 entries (2 MiB) for 9608
+    classes; it is cached, so the sweep's keys, the enumeration and the
+    checks that look codes up share one build, and read-only, so none of
+    them can change it."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"orbit table supports 1..{MAX_ENUM_VERTICES} vertices, got {n}")
-    classes = array("H", [_UNSEEN]) * (1 << (n * (n - 1)))
+    buf = bytearray(b"\xff") * (2 << (n * (n - 1)))
+    classes = memoryview(buf).cast("H")
     reps = array("I")
-    code = 0
+    at = 0
     while True:
-        try:
-            code = classes.index(_UNSEEN, code)
-        except ValueError:  # every code is assigned
-            return OrbitTable(classes, reps)
-        index = len(reps)
+        at = buf.find(b"\xff\xff", at)
+        if at < 0:  # every code is assigned
+            return OrbitTable(classes.toreadonly(), reps)
+        if at & 1:
+            at += 1
+            continue
+        code, index = at >> 1, len(reps)
         reps.append(code)
         for image in _relabelings(n, code):
             classes[image] = index

@@ -156,8 +156,11 @@ def load_cache(
     keys, and any further line for a key whose record is already kept
     (only one line can equal the cold line), are skipped without a replay;
     torn, non-UTF-8 or respelled lines are skipped too, so a crashed run's
-    cache still loads and a stale or edited class is recomputed."""
+    cache still loads and a stale or edited class is recomputed.  Each
+    wanted key is analyzed at most once per load, however many of its
+    lines are rejected."""
     wanted = set(keys)
+    fresh: dict[CanonicalKey, VerificationRecord] = {}
     cache: dict[CanonicalKey, VerificationRecord] = {}
     p = Path(path)
     if not p.exists():
@@ -170,9 +173,10 @@ def load_cache(
         except ValueError:  # UnicodeDecodeError included
             continue
         if key in wanted and key not in cache:
-            record = _analyze_key(key)
-            if record.line == line:
-                cache[key] = record
+            if key not in fresh:
+                fresh[key] = _analyze_key(key)
+            if fresh[key].line == line:
+                cache[key] = fresh[key]
     return cache
 
 

@@ -345,6 +345,28 @@ def chromatic_dp(adj_masks: list[int]) -> int:
     return chi[full]
 
 
+def chromatic_backtrack(adj_masks: list[int]) -> int:
+    """Exact chromatic number by plain backtracking in vertex order, k = 1
+    upward; a vertex may open at most one new color.  Fine up to 16 vertices."""
+    nv = len(adj_masks)
+    colors = [0] * nv
+
+    def place(v: int, used: int, k: int) -> bool:
+        if v == nv:
+            return True
+        for c in range(min(k, used + 1)):
+            if all(colors[w] != c for w in range(v) if adj_masks[v] >> w & 1):
+                colors[v] = c
+                if place(v + 1, max(used, c + 1), k):
+                    return True
+        return False
+
+    k = 1
+    while not place(0, 0, k):
+        k += 1
+    return k
+
+
 def independence_number(adj_masks: list[int]) -> int:
     """Naive branch on the lowest remaining vertex: take it or not."""
     nv = len(adj_masks)

@@ -1,7 +1,10 @@
 """Confusion graph construction, exact coloring, exact codelength."""
 
+import gzip
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from indexcoding.verify import analyze
 
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
+PINNED_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "expected_report.csv.gz"
 
 
 def test_diff_set_contains_every_unit_vector():
@@ -154,7 +158,9 @@ def test_packing_decision_agrees_with_the_plain_search(gap_records):
 def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypatch):
     # at k = 7, alpha = 5 leaves slack 3: four disjoint maximum sets and a
     # twelve-vertex remainder for three colours; of the 1600 packings only
-    # the 600 that avoid vertex 0 are tried
+    # the 600 that avoid vertex 0 are tried; a failed remainder's translates
+    # by its own vertices are not searched again, so their remainders fall
+    # into 80 translation classes and 80 searches refute k = 7
     search = confusion._search_coloring
     colours_asked = []
 
@@ -169,7 +175,28 @@ def test_refutations_pack_only_sets_that_avoid_vertex_zero(gap_records, monkeypa
             colours_asked.clear()
             assert chromatic_number(build_confusion(digraph_from_key(r.key))) == 8
             remainder_searches[r.key.hex] = colours_asked.count(3)
-    assert remainder_searches == {"0x355ad": 600, "0x356ac": 600}
+    assert remainder_searches == {"0x355ad": 80, "0x356ac": 80}
+
+
+def test_gap_chromatic_numbers_match_the_pinned_report():
+    # the report's chromatic column is 0 wherever the bounds meet, so it is
+    # read for the 28 gap classes, the only ones whose confusion graph is colored
+    report = gzip.decompress(PINNED_REPORT.read_bytes())
+    assert hashlib.sha256(report).hexdigest() == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"
+    header, *lines = report.decode().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    gaps = [row for row in rows if row["gap"] == "1"]
+    assert len(gaps) == 28
+    for row in gaps:
+        g = digraph_from_code(int(row["n"]), int(row["canonical_key"], 16))
+        assert chromatic_number(build_confusion(g)) == int(row["chromatic"])
+
+
+def test_chromatic_number_matches_a_plain_backtracking_oracle():
+    # every class up to four vertices, decided by the packing of maximum sets
+    for g in (g for n in (1, 2, 3, 4) for g in enumerate_nonisomorphic(n)):
+        adj = build_confusion(g)
+        assert chromatic_number(adj) == oracles.chromatic_backtrack(list(adj))
 
 
 def test_k_colorability_brackets_chromatic_number():

@@ -346,7 +346,10 @@ def test_chunk_rows_give_every_relabeling_in_permutation_order():
         for code in codes:
             rows = oracles.rows_from_key(n, code)
             expected = [adjacency_code(Digraph(n, oracles.relabel(n, rows, perm))) for perm in perms]
-            assert list(graph._relabelings(n, code)) == expected
+            relabelings = graph._relabelings(n, code)
+            assert type(relabelings) is list and relabelings == expected
+            low, high = graph._code_images(n, code & 0x3FF), graph._code_images(n, code & ~0x3FF)
+            assert relabelings == [a | b for a, b in zip(low, high)]
 
 
 def test_orbit_table_classes_match_oracle_partition():
@@ -359,6 +362,15 @@ def test_orbit_table_classes_match_oracle_partition():
         assert sorted(members) == list(range(len(table.reps)))
         ours = {frozenset(rows) for rows in members.values()}
         assert ours == {frozenset(cls) for cls in oracles.iso_classes(n)}
+
+
+def test_orbit_table_is_read_only_and_fully_assigned():
+    for n in (1, 2, 3, 4, 5):
+        classes, reps = orbit_table(n)
+        with pytest.raises(TypeError):
+            classes[0] = 0
+        assert 0xFFFF not in classes
+        assert max(classes) == len(reps) - 1
 
 
 def _relabel_tables(n, perm):

@@ -307,6 +307,31 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     assert len(replayed) == 16
 
 
+def test_rejected_cache_lines_cost_one_replay_per_load(tmp_path, monkeypatch, full_records):
+    # a rejected line stays in the append-only cache beside the canonical
+    # line the first run appends; each later load analyzes its key once
+    order3 = [r for r in full_records if r.n == 3]
+    cache = tmp_path / "cache.txt"
+    lines = [r.line.replace("0x7,3,", "0x7,+3,") for r in order3]
+    assert sum(line.startswith("0x7,+3,") for line in lines) == 1
+    cache.write_text("".join(line + "\n" for line in lines))
+    replayed = []
+    analyze_key = verify._analyze_key
+
+    def counted(key):
+        replayed.append(key)
+        return analyze_key(key)
+
+    monkeypatch.setattr(verify, "_analyze_key", counted)
+    counts = []
+    for _ in range(3):
+        replayed.clear()
+        assert run_sweep([3], cache_path=cache) == order3
+        counts.append(len(replayed))
+    # the first run rejects the respelled line, then recomputes 0x7 as a task
+    assert counts == [17, 16, 16]
+
+
 def gap_record(n, key_code, arcs, edges):
     return VerificationRecord(
         key=CanonicalKey(n, key_code), arcs=arcs, edges=edges,
