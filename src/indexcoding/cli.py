@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs_arg, default=1, help="worker processes (at least 1; at most one per CPU and per 64 classes)"
     )
     p.add_argument("--out", metavar="PATH", help="write the record report here")
-    p.add_argument("--cache", metavar="PATH", help="append-only record cache")
+    p.add_argument("--cache", metavar="PATH", help="append-only log of report lines, never read for values")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-code", help="print an optimal code with decode confirmation")

@@ -55,6 +55,43 @@ def build_confusion(g: Digraph) -> tuple[int, ...]:
     return tuple(_translate(confusable, moves) for moves in _translations(g.n))
 
 
+def _assign(adj: Sequence[int], k: int, colors: list[int], seen: list[int], uncolored: int, used: int) -> bool:
+    """_search_coloring's step: color the mask uncolored, with colors
+    0..used-1 open and seen[w] the colors on w's colored neighbours."""
+    if uncolored == 0:
+        return True
+    v = -1
+    rank = (-1, -1)
+    m = uncolored
+    while m:
+        w = (m & -m).bit_length() - 1
+        m &= m - 1
+        r = (seen[w].bit_count(), (adj[w] & uncolored).bit_count())
+        if r > rank:
+            v, rank = w, r
+    remaining = uncolored ^ (1 << v)
+    for c in range(min(k, used + 1)):
+        if seen[v] >> c & 1:
+            continue
+        colors[v] = c
+        touched = 0
+        w_mask = adj[v] & remaining
+        while w_mask:
+            w = (w_mask & -w_mask).bit_length() - 1
+            w_mask &= w_mask - 1
+            if not seen[w] >> c & 1:
+                seen[w] |= 1 << c
+                touched |= 1 << w
+        if _assign(adj, k, colors, seen, remaining, max(used, c + 1)):
+            return True
+        while touched:
+            w = (touched & -touched).bit_length() - 1
+            touched &= touched - 1
+            seen[w] ^= 1 << c
+    colors[v] = -1
+    return False
+
+
 def _search_coloring(adj: Sequence[int], keep: int, k: int) -> list[int] | None:
     """Exhaustive k-coloring, by backtracking, of the subgraph induced on
     the vertex mask keep: a color per vertex, -1 for a vertex outside keep,
@@ -65,43 +102,7 @@ def _search_coloring(adj: Sequence[int], keep: int, k: int) -> list[int] | None:
     fresh color, which breaks the symmetry among the colors.
     """
     colors = [-1] * len(adj)
-    seen = [0] * len(adj)
-
-    def assign(uncolored: int, used: int) -> bool:
-        if uncolored == 0:
-            return True
-        v = -1
-        rank = (-1, -1)
-        m = uncolored
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            r = (seen[w].bit_count(), (adj[w] & uncolored).bit_count())
-            if r > rank:
-                v, rank = w, r
-        remaining = uncolored ^ (1 << v)
-        for c in range(min(k, used + 1)):
-            if seen[v] >> c & 1:
-                continue
-            colors[v] = c
-            touched = 0
-            w_mask = adj[v] & remaining
-            while w_mask:
-                w = (w_mask & -w_mask).bit_length() - 1
-                w_mask &= w_mask - 1
-                if not seen[w] >> c & 1:
-                    seen[w] |= 1 << c
-                    touched |= 1 << w
-            if assign(remaining, max(used, c + 1)):
-                return True
-            while touched:
-                w = (touched & -touched).bit_length() - 1
-                touched &= touched - 1
-                seen[w] ^= 1 << c
-        colors[v] = -1
-        return False
-
-    return colors if assign(keep, 0) else None
+    return colors if _assign(adj, k, colors, [0] * len(adj), keep, 0) else None
 
 
 def find_coloring(adj: Sequence[int], k: int) -> tuple[int, ...] | None:
@@ -151,6 +152,31 @@ def _maximum_independent_sets(adj: Sequence[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys(_translate(s, moves) for s in through_zero for moves in translations))
 
 
+def _pack(
+    adj: Sequence[int], colors: int, maximum_sets: Sequence[int], full: int,
+    translations: Sequence[tuple[tuple[int, int], ...]], failed: set[int], start: int, used: int, left: int,
+) -> bool:
+    """_k_colorable's step: place left more disjoint sets from
+    maximum_sets[start:] off the mask used, then color the rest of full."""
+    if left == 0:
+        rest = full & ~used
+        if rest in failed:
+            return False
+        if _search_coloring(adj, rest, colors) is not None:
+            return True
+        m = rest
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            failed.add(_translate(rest, translations[u]))
+        return False
+    for index in range(start, len(maximum_sets) - left + 1):
+        s = maximum_sets[index]
+        if not s & used and _pack(adj, colors, maximum_sets, full, translations, failed, index + 1, used | s, left - 1):
+            return True
+    return False
+
+
 def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> bool:
     """Exact k-colorability of a Cayley graph on GF(2)^n, nv = 2^n tuples,
     packing maximum color classes first; alpha is the size of each.
@@ -179,35 +205,9 @@ def _k_colorable(adj: Sequence[int], k: int, maximum_sets: Sequence[int]) -> boo
     if slack < 0:
         return False
     need = max(k - slack, 0)
-    full = (1 << nv) - 1
     if nv > need * alpha:
         maximum_sets = [s for s in maximum_sets if not s & 1]
-    translations = _translations(nv.bit_length() - 1)
-    failed: set[int] = set()
-
-    def pack(start: int, used: int, left: int) -> bool:
-        if left == 0:
-            rest = full & ~used
-            if rest in failed:
-                return False
-            if _search_coloring(adj, rest, min(slack, k)) is not None:
-                return True
-            m = rest
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                failed.add(_translate(rest, translations[u]))
-            return False
-        for index in range(start, len(maximum_sets) - left + 1):
-            s = maximum_sets[index]
-            if not s & used and pack(index + 1, used | s, left - 1):
-                return True
-        return False
-
-    try:
-        return pack(0, 0, need)
-    finally:
-        failed.clear()  # pack refers to itself, so only the cycle collector would free the record
+    return _pack(adj, min(slack, k), maximum_sets, (1 << nv) - 1, _translations(nv.bit_length() - 1), set(), 0, 0, need)
 
 
 def chromatic_number(adj: Sequence[int]) -> int:

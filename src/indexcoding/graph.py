@@ -26,6 +26,9 @@ from typing import Iterator, NamedTuple
 MAX_ENUM_VERTICES = 5
 
 _TOKEN_RE = re.compile(r"^(\d+)(->|-)(\d+)$", re.ASCII)
+# a comment stops at a line end and at every other break str.splitlines reads
+_COMMENT_RE = re.compile("#[^\r\n\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_WORD_RE = re.compile("[^ \t\r\n]+")
 _CHUNK_MASK = 0x3FF  # the low chunk of an adjacency code (see _code_images)
 _ARC_BITS = tuple(1 << b for b in range(MAX_ENUM_VERTICES * (MAX_ENUM_VERTICES - 1)))  # one-arc adjacency codes
 
@@ -117,17 +120,20 @@ def _token_arcs(n: int) -> dict[str, int]:
 
 
 def parse_digraph(text: str) -> Digraph:
-    """Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based;
+    r"""Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based;
     N, a and b are written in ASCII decimal digits.
 
-    '#' starts a comment running to end of line.  Raises GraphFormatError
-    with the offending token position on malformed input.  A token is one
-    lookup in _token_arcs(n), the only map from tokens to arcs; _TOKEN_RE
-    only spells other tokens canonically ("01->2" is "1->2") or rejects them.
+    Lines end only at \n, \r\n or \r, and tokens are separated only by ASCII
+    spaces and tabs; every other character is token text, which the token
+    checks reject.  '#' starts a comment running to end of line.  A comment
+    also stops at each other break str.splitlines reads (\v, \f, \x1c-\x1e,
+    \x85, \u2028, \u2029), so such a break starts a token and is rejected,
+    never read as a line end.  Raises GraphFormatError with the offending
+    token position on malformed input.  A token is one lookup in
+    _token_arcs(n), the only map from tokens to arcs; _TOKEN_RE only spells
+    other tokens canonically ("01->2" is "1->2") or rejects them.
     """
-    tokens: list[str] = []
-    for line in text.splitlines():
-        tokens.extend(line.split("#", 1)[0].split())
+    tokens = _WORD_RE.findall(_COMMENT_RE.sub("", text))
     if not tokens:
         raise GraphFormatError("empty graph description")
     if tokens[0] != "n":

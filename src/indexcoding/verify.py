@@ -74,8 +74,8 @@ class VerificationRecord:
 
     @cached_property
     def line(self) -> str:
-        """The record's report and cache line, rendered once; not a field,
-        so equality and hashing ignore it."""
+        """The record's report line, which a sweep also appends to its cache
+        log, rendered once; not a field, so equality and hashing ignore it."""
         return ",".join(
             (
                 self.key.hex,
@@ -110,17 +110,16 @@ class SweepSummary:
 def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecord:
     """Measure one graph: bounds, exact length, category, witness code.
 
-    This is the one derivation of a record; a cold sweep writes what it
-    returns, and a cache line is reused only if its bytes equal the
-    record's line.  The record keeps the rows of the minrank witness code,
-    so minrank is their count.  Equal bounds settle the length by the
-    sandwich alone.  Otherwise the confusion graph is colored
-    exactly and the length is the bit width of its chromatic number,
-    recorded alongside.  The theorem makes the witness code optimal, and a
-    class where it is not shows up as a violation in `summarize`.  For a g
-    that is not its class representative, the code is the witness in g's
-    own labeling, so the record (the `analyze --format csv` line) is not a
-    cache line, and the cache rejects it.
+    This is the one derivation of a record; every sweep calls it once per
+    class and never reads a record back.  The record keeps the rows of the
+    minrank witness code, so minrank is their count.  Equal bounds settle
+    the length by the sandwich alone.  Otherwise the confusion graph is
+    colored exactly and the length is the bit width of its chromatic
+    number, recorded alongside.  The theorem makes the witness code
+    optimal, and a class where it is not shows up as a violation in
+    `summarize`.  For a g that is not its class representative, the code
+    is the witness in g's own labeling, so the record (the `analyze
+    --format csv` line) differs from the report line of its class.
     """
     if key is None:
         key = canonical_key(g)
@@ -146,38 +145,11 @@ def _analyze_key(key: CanonicalKey) -> VerificationRecord:
     return analyze(digraph_from_key(key), key=key)
 
 
-def load_cache(
-    path: str | Path, keys: Iterable[CanonicalKey]
-) -> dict[CanonicalKey, VerificationRecord]:
-    """Records for the given keys, keyed by canonical key.  Only a line's
-    key is read, from its first two fields; the line is kept only if its
-    bytes equal the line a fresh analysis of that key renders, so the
-    records returned are those a cold run would return.  Lines for other
-    keys, and any further line for a key whose record is already kept
-    (only one line can equal the cold line), are skipped without a replay;
-    torn, non-UTF-8 or respelled lines are skipped too, so a crashed run's
-    cache still loads and a stale or edited class is recomputed.  Each
-    wanted key is analyzed at most once per load, however many of its
-    lines are rejected."""
-    wanted = set(keys)
-    fresh: dict[CanonicalKey, VerificationRecord] = {}
-    cache: dict[CanonicalKey, VerificationRecord] = {}
-    p = Path(path)
-    if not p.exists():
-        return cache
-    for raw in p.read_bytes().splitlines():
-        try:
-            line = raw.decode()
-            key_hex, n = line.split(",", 2)[:2]
-            key = CanonicalKey(int(n), int(key_hex, 16))
-        except ValueError:  # UnicodeDecodeError included
-            continue
-        if key in wanted and key not in cache:
-            if key not in fresh:
-                fresh[key] = _analyze_key(key)
-            if fresh[key].line == line:
-                cache[key] = fresh[key]
-    return cache
+def load_cache(path: str | Path) -> set[bytes]:
+    """The lines the cache already holds, as raw bytes.  No line is parsed
+    or trusted: a sweep derives every record afresh and only uses this set
+    to leave out lines the cache has."""
+    return set(Path(path).read_bytes().splitlines())
 
 
 def _end_torn_tail(fh: BinaryIO) -> None:
@@ -208,30 +180,28 @@ def _analyze_keys(tasks: Sequence[CanonicalKey], jobs: int) -> Iterator[Verifica
 def run_sweep(
     orders: Iterable[int], jobs: int = 1, cache_path: str | Path | None = None
 ) -> list[VerificationRecord]:
-    """Analyze every isomorphism class of the given orders, sorted by
-    canonical key.  A cached line is reused only if its bytes equal the
-    line its analysis renders, so the records, and the report bytes, are
-    a cold run's for any cache content.  The cache is opened before any
-    analysis, so a bad path fails at once, and each fresh record is
-    appended as it arrives, so an interrupted run keeps its work.  The keys
-    are read from the orbit tables, so each uncached class representative
-    is built once, by its analysis.  Analysis of distinct
-    graphs is independent, so jobs > 1 may fan out over a process pool; the
-    merge order is fixed by the final sort, making reports identical for
-    any worker count."""
+    """Analyze every isomorphism class of the given orders, in canonical key
+    order.  The keys are read from the orbit tables in that order, so each
+    class representative is built once, by its analysis, and nothing is
+    read back from the cache: records and report bytes are a cold run's for
+    any cache content.  The cache is an append-only log; it is opened
+    before any analysis, so a bad path fails at once, and each record's
+    line is appended as it arrives unless the log already holds it, so an
+    interrupted run keeps its work and a repeated run adds nothing.
+    Analysis of distinct graphs is independent, so jobs > 1 may fan out
+    over a process pool whose results keep task order, making reports
+    identical for any worker count."""
     with open(cache_path, "a+b") if cache_path is not None else contextlib.nullcontext() as sink:
         keys = [CanonicalKey(n, code) for n in sorted(set(orders)) for code in orbit_table(n).reps]
-        cached: dict[CanonicalKey, VerificationRecord] = {}
+        logged: set[bytes] = set()
         if sink is not None:
             _end_torn_tail(sink)
-            cached = load_cache(cache_path, keys)
-        records = [cached[key] for key in keys if key in cached]
-        tasks = [key for key in keys if key not in cached]
-        for record in _analyze_keys(tasks, jobs):
-            if sink is not None:
-                sink.write(record.line.encode() + b"\n")
+            logged = load_cache(cache_path)
+        records = []
+        for record in _analyze_keys(keys, jobs):
+            if sink is not None and (line := record.line.encode()) not in logged:
+                sink.write(line + b"\n")
             records.append(record)
-    records.sort(key=lambda r: r.key)
     return records
 
 

@@ -84,6 +84,69 @@ def test_criterion_02_every_report_lower_bound_holds_by_the_oracles(full_records
     assert counts == {"0": 9818, "1": 28}
 
 
+def independent_sets(adj, size):
+    """Every independent vertex set of the given size, as sorted tuples,
+    grown by vertices above the last one taken."""
+    found = []
+
+    def grow(chosen, candidates):
+        if len(chosen) == size:
+            found.append(chosen)
+            return
+        for v in candidates:
+            grow(chosen + (v,), [w for w in candidates if w > v and not adj[v] >> w & 1])
+
+    grow((), list(range(len(adj))))
+    return found
+
+
+def packings(sets, count):
+    """Every choice of count pairwise disjoint sets, as the union mask."""
+    masks = [sum(1 << v for v in s) for s in sets]
+
+    def pack(start, used, left):
+        if left == 0:
+            yield used
+            return
+        for index in range(start, len(masks)):
+            if not masks[index] & used:
+                yield from pack(index + 1, used | masks[index], left - 1)
+
+    return pack(0, 0, count)
+
+
+def test_criterion_02_every_gap_chromatic_number_holds_by_the_oracles(full_records):
+    # the gap lines' chromatic column read back by its definition alone.
+    # With alpha = 5, a 7-coloring of the 32 tuples has at least 4 classes
+    # of exactly 5 (three would cover at most 15 + 4 * 4 = 31), so chi = 7
+    # iff 4 disjoint independent 5-sets leave 12 tuples that take 3 colors;
+    # the witness code's 8 codewords color the graph, so chi <= 8
+    header, *lines = report_text(full_records).splitlines()
+    chis = []
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        if row["gap"] == "0":
+            continue
+        rows = oracles.rows_from_key(5, int(row["canonical_key"], 16))
+        adj = oracles.confusion_adjacency(5, rows)
+        assert oracles.independence_number(adj) == 5
+        chi = int(row["chromatic"])
+        chis.append(chi)
+        assert chi in (7, 8)
+
+        def three_colorable(used):
+            rest = [v for v in range(32) if not used >> v & 1]
+            rest_adj = [sum(1 << j for j, w in enumerate(rest) if adj[v] >> w & 1) for v in rest]
+            return oracles.chromatic_backtrack(rest_adj) <= 3
+
+        seven = any(map(three_colorable, packings(independent_sets(adj, 5), 4)))
+        assert seven == (chi == 7)
+        if chi == 8:
+            _, code = oracles.parse_linear(row["code"])
+            assert oracles.proper_coloring(adj, list(map(oracles.linear_encoder(code), range(32))))
+    assert sorted(chis) == [7] * 26 + [8] * 2
+
+
 def test_criterion_03_mais_at_least_n_minus_2_forces_equality(full_records):
     squeezed = [r for r in full_records if r.mais >= r.n - 2]
     assert squeezed

@@ -12,7 +12,7 @@ import indexcoding.cli as cli
 import indexcoding.verify as verify
 from indexcoding.cli import main
 from indexcoding.codec import parse_code
-from indexcoding.graph import CanonicalKey, canonical_key, orbit_table, parse_digraph
+from indexcoding.graph import canonical_key, parse_digraph
 from indexcoding.verify import REPORT_HEADER, analyze, load_cache, report_text
 from test_verify import edit_line
 
@@ -253,7 +253,7 @@ def test_empty_out_exits_2_before_any_analysis(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_force_is_a_usage_error(capsys):
-    # a cache line is reused only if it proves its code minimal, so no run recomputes by flag
+    # no cache value is ever read, so no run recomputes by flag
     with pytest.raises(SystemExit) as err:
         main(["verify", "--max-n", "2", "--force"])
     assert err.value.code == 2
@@ -375,6 +375,35 @@ def test_orders_above_five_exit_2(command, source, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+# every line break str.splitlines reads besides "\n", "\r\n" and "\r"
+FOREIGN_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # these four parsed, as "1-2 2-3" and "n 3 ; 1->2", before lines ended
+        # only at ASCII line ends and tokens split only at spaces and tabs
+        ("n 3 ; 1-2 # note\x1c2-3", "token 5: malformed arc/edge token '\\x1c2-3'"),
+        ("n 3 ; 1-2 # note\u20282-3", "token 5: malformed arc/edge token '\\u20282-3'"),
+        ("n 3 ; 1-2 # x\x0b2-3", "token 5: malformed arc/edge token '\\x0b2-3'"),
+        ("n\xa03 ;\u30001->2", "token 1: expected 'n', got 'n\\xa03'"),
+        *((f"n 3 ; 1-2 # c{c}2-3", f"token 5: malformed arc/edge token {c + '2-3'!r}") for c in FOREIGN_BREAKS),
+        *((f"n 3 ; 1-2{c}2-3", f"token 4: malformed arc/edge token {'1-2' + c + '2-3'!r}") for c in FOREIGN_BREAKS),
+        *((f"n 3 ;{c}1-2", f"token 3: malformed arc/edge token {';' + c + '1-2'!r}") for c in "\xa0\u2003\u3000"),
+    ],
+)
+def test_graph_text_breaks_only_at_ascii_line_ends_spaces_and_tabs(text, error, capsys):
+    assert main(["find-code", "--graph", text, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+def test_graph_text_ascii_line_ends_end_comments(capsys):
+    assert main(["find-code", "--graph", "n 3 # c\r1-2 # c\r\n2->3\t# c\n\t3->1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == analyze(parse_digraph("n 3 ; 1-2 2->3 3->1")).line.rsplit(",", 1)[1] + "\n"
+
+
 def test_non_ascii_and_non_decimal_numbers_exit_2_without_a_traceback(capsys):
     # superscript two, full-width five and Arabic-Indic two are not numbers
     for text, token in (("n \u00b2", "\u00b2"), ("n \uff15 ; 1->2", "\uff15"), ("n 2 ; 1->\u0662", "1->\u0662")):
@@ -482,10 +511,13 @@ def test_verify_resumes_from_a_torn_cache(tmp_path, capsys):
     cold_out = capsys.readouterr().out
     text = cache.read_text()
     # a killed run leaves its last line cut short
-    cache.write_text(text[: text.index("\n", len(text) // 2) - 5])
+    torn = text[: text.index("\n", len(text) // 2) - 5]
+    cache.write_text(torn)
     assert main(["verify", "--max-n", "4", "--cache", str(cache), "--out", str(resumed)]) == 0
     assert capsys.readouterr().out == cold_out
     assert resumed.read_bytes() == cold.read_bytes()
-    # the torn tail was ended first, so every appended record loads
-    keys = [CanonicalKey(n, code) for n in range(1, 5) for code in orbit_table(n).reps]
-    assert len(load_cache(cache, keys)) == 1 + 3 + 16 + 218
+    # the torn tail was ended first, so it stays one line of its own and
+    # every cold line is in the cache once
+    lines = cache.read_bytes().splitlines()
+    assert len(lines) == 1 + 1 + 3 + 16 + 218
+    assert load_cache(cache) == {line.encode() for line in text.splitlines()} | {torn.rsplit("\n", 1)[1].encode()}

@@ -3,7 +3,10 @@
 import gzip
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,29 @@ def test_gap_chromatic_numbers_match_the_pinned_report():
     for row in gaps:
         g = digraph_from_code(int(row["n"]), int(row["canonical_key"], 16))
         assert chromatic_number(build_confusion(g)) == int(row["chromatic"])
+
+
+def test_the_coloring_searches_leave_no_state_behind(gap_records):
+    # a fresh interpreter with the cycle collector off: a search that held
+    # itself in a reference cycle would keep its state until a collection,
+    # so chi over the 28 gap classes must free what it builds on return
+    probe = (
+        "import gc, tracemalloc\n"
+        "from indexcoding.confusion import build_confusion, chromatic_number\n"
+        "from indexcoding.graph import digraph_from_code\n"
+        f"expected = {[(r.key.key, r.chromatic) for r in gap_records]}\n"
+        "graphs = [build_confusion(digraph_from_code(5, key)) for key, _ in expected]\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "tracemalloc.start()\n"
+        "chis = [chromatic_number(adj) for adj in graphs]\n"
+        "held = tracemalloc.get_traced_memory()[0]\n"
+        "assert chis == [chi for _, chi in expected], chis\n"
+        "assert held < 16 * 1024, held\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(confusion.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_chromatic_number_matches_a_plain_backtracking_oracle():

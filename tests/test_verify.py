@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from indexcoding.graph import (
     canonical_key,
     digraph_from_code,
     digraph_from_key,
-    orbit_table,
     parse_digraph,
 )
 from indexcoding.verify import (
@@ -46,9 +47,13 @@ FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 
 
-def class_keys(*orders):
-    """The keys a sweep of these orders asks the cache for."""
-    return [CanonicalKey(n, code) for n in orders for code in orbit_table(n).reps]
+def assert_one_sweep_ignores(cache, orders, cold, bad_lines):
+    """One sweep over a cache holding bad_lines gives the cold records, and
+    leaves each cold line in the cache exactly once beside every bad line."""
+    assert run_sweep(orders, cache_path=cache) == cold
+    lines = Counter(cache.read_bytes().splitlines())
+    assert all(lines[r.line.encode()] == 1 for r in cold)
+    assert all(lines[line.encode()] for line in bad_lines)
 
 
 def edit_line(line, **fields):
@@ -123,7 +128,7 @@ def test_run_sweep_cache_reuse(tmp_path):
     second = run_sweep([3], cache_path=cache)
     assert second == first
     assert cache.stat().st_size == size_after_first  # nothing re-appended
-    assert load_cache(cache, class_keys(3)) == {r.key: r for r in first}
+    assert load_cache(cache) == {r.line.encode() for r in first}
 
 
 def test_cache_tolerates_torn_lines(tmp_path):
@@ -194,22 +199,15 @@ def test_load_cache_skips_uncertified_lines(tmp_path, full_records):
         "0x6533298,6,12,6,3,3,3,0,0,0,100001;010100;001010",
         "0x0,1,0",  # torn after three fields
     ]
-    keys = [r.key for r in full_records]
-    for bad in uncertified:
-        cache.write_text(bad + "\n")
-        assert load_cache(cache, keys) == {}
-    cache.write_text(good.line + "\n")
-    assert load_cache(cache, keys) == {good.key: good}
-    # a full cache holding the other minimal code still gives the cold report
-    other = edit_line(good.line, code="11001;01001;00110")
-    cache.write_text("".join((other if r == good else r.line) + "\n" for r in full_records))
-    assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
+    # with every other cold line already there, only the pentagon's is appended
+    cache.write_text("".join(line + "\n" for line in uncertified + [r.line for r in full_records if r != good]))
+    assert_one_sweep_ignores(cache, range(1, 6), full_records, uncertified)
 
 
 def test_load_cache_drops_tampered_lines(tmp_path):
     cache = tmp_path / "cache.txt"
     clean = run_sweep([1, 2, 3], cache_path=cache)
-    clean_lines, clean_report = cache.read_text(), report_text(clean)
+    clean_lines = cache.read_text()
     target = next(r for r in clean if r.key == CanonicalKey(3, 5))
     assert target.mais == target.minrank and target.chromatic == 0
     code_text = target.line.rsplit(",", 1)[1]
@@ -226,19 +224,17 @@ def test_load_cache_drops_tampered_lines(tmp_path):
         # the same longer code with the line rebuilt from it: only minimality fails
         edit_line(target.line, code="100;010;001", minrank="3", chromatic="4"),
     ]
-    for bad in tampered:
-        cache.write_text(clean_lines.replace(target.line, bad))
-        assert load_cache(cache, class_keys(1, 2, 3)) == {r.key: r for r in clean if r != target}
-        assert report_text(run_sweep([1, 2, 3], cache_path=cache)) == clean_report
+    cache.write_text(clean_lines.replace(target.line, "\n".join(tampered)))
+    assert_one_sweep_ignores(cache, [1, 2, 3], clean, tampered)
 
 
 def test_respelled_cache_lines_are_recomputed(tmp_path):
     # each line reads back as the cold record's values, but only the cold
-    # line's own bytes are kept, so the sweep writes that line once
+    # line's own bytes count as logged, so the sweep appends that line once
     cache = tmp_path / "cache.txt"
     canonical = "0x7,3,3,1,2,2,2,0,0,0,100;011"
-    cold_report = report_text(run_sweep([3]))
-    assert canonical in cold_report.splitlines()
+    cold = run_sweep([3])
+    assert canonical in [r.line for r in cold]
     respelled = [
         edit_line(canonical, gap="x"),
         edit_line(canonical, n="+3"),
@@ -246,26 +242,21 @@ def test_respelled_cache_lines_are_recomputed(tmp_path):
         edit_line(canonical, canonical_key="0X0007"),
         edit_line(canonical, category="-0"),
     ]
-    for bad in respelled:
-        cache.write_text(bad + "\n")
-        assert load_cache(cache, class_keys(3)) == {}
-        assert report_text(run_sweep([3], cache_path=cache)) == cold_report
-        assert cache.read_text().splitlines().count(canonical) == 1
+    cache.write_text("".join(bad + "\n" for bad in respelled))
+    assert_one_sweep_ignores(cache, [3], cold, respelled)
 
 
 def test_load_cache_replays_the_chromatic_number(tmp_path, full_records):
-    # where the bounds differ, load colors the confusion graph again
+    # no cache value is read: every sweep colors the confusion graph again
+    # where the bounds differ
     cache = tmp_path / "cache.txt"
     good = next(r for r in full_records if r.key == canonical_key(PENTAGON))
     assert (good.key.hex, good.chromatic, good.ell_star) == ("0x356ac", 8, 3)
     forged = edit_line(good.line, chromatic="4", ell_star="2", gap="0")
-    cache.write_text(forged + "\n")
-    assert load_cache(cache, [good.key]) == {}
     # chi 5 keeps the bit width, so ell_star and gap still match the line
     edited = edit_line(good.line, chromatic="5")
-    cache.write_text("".join((edited if r == good else r.line) + "\n" for r in full_records))
-    assert load_cache(cache, [good.key]) == {}
-    assert report_text(run_sweep(range(1, 6), cache_path=cache)) == report_text(full_records)
+    cache.write_text("".join((edited if r == good else r.line) + "\n" for r in full_records) + forged + "\n")
+    assert_one_sweep_ignores(cache, range(1, 6), full_records, [forged, edited])
 
 
 def test_warm_sweep_replays_only_the_asked_keys(tmp_path, monkeypatch, full_records):
@@ -298,8 +289,7 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
     monkeypatch.setattr(verify, "_analyze_key", counted)
     assert run_sweep([3], cache_path=cache) == order3
     assert len(replayed) == 16
-    # only one line per key can equal the cold record, so once a key's record
-    # is kept, a later line for it is not replayed even when it differs
+    # each key is analyzed once per sweep, whatever lines the cache holds
     replayed.clear()
     edited = [edit_line(r.line, arcs=str(r.arcs + 1)) for r in order3]
     cache.write_text("".join(line + "\n" for line in [r.line for r in order3] + edited))
@@ -308,8 +298,8 @@ def test_duplicate_cache_lines_replay_once(tmp_path, monkeypatch, full_records):
 
 
 def test_rejected_cache_lines_cost_one_replay_per_load(tmp_path, monkeypatch, full_records):
-    # a rejected line stays in the append-only cache beside the canonical
-    # line the first run appends; each later load analyzes its key once
+    # a respelled line stays in the append-only cache beside the canonical
+    # line the first run appends; every run analyzes each key once
     order3 = [r for r in full_records if r.n == 3]
     cache = tmp_path / "cache.txt"
     lines = [r.line.replace("0x7,3,", "0x7,+3,") for r in order3]
@@ -328,8 +318,37 @@ def test_rejected_cache_lines_cost_one_replay_per_load(tmp_path, monkeypatch, fu
         replayed.clear()
         assert run_sweep([3], cache_path=cache) == order3
         counts.append(len(replayed))
-    # the first run rejects the respelled line, then recomputes 0x7 as a task
-    assert counts == [17, 16, 16]
+    assert counts == [16, 16, 16]
+
+
+def test_a_sweep_appends_exactly_the_cold_lines_its_cache_lacks(tmp_path):
+    # seeded caches of kept, dropped, duplicated and mutated cold lines,
+    # with stray bytes and any line end: after one sweep the cache is its
+    # old bytes, with a torn tail ended, then the missing cold lines in key
+    # order
+    cache = tmp_path / "cache.txt"
+    cold = run_sweep([1, 2, 3])
+    cold_lines = [r.line.encode() for r in cold]
+    rng = random.Random(26)
+    for _ in range(40):
+        lines = []
+        for line in cold_lines:
+            kind = rng.randrange(6)
+            if kind == 1:
+                lines.append(line[: rng.randrange(len(line))])
+            elif kind == 2:
+                lines.append(line.replace(b",", b", ", 1))
+            elif kind == 4:
+                lines.append(b"\xff" + line)
+            # dropped, doubled, or kept or dropped at random
+            lines.extend([line] * {0: 0, 3: 2}.get(kind, rng.randrange(2)))
+        rng.shuffle(lines)
+        old = rng.choice([b"\n", b"\r\n", b"\r"]).join(lines) + rng.choice([b"", b"\n", b"\r"])
+        cache.write_bytes(old)
+        assert run_sweep([1, 2, 3], cache_path=cache) == cold
+        ended = old + b"\n" if old and not old.endswith(b"\n") else old
+        kept = set(old.splitlines())
+        assert cache.read_bytes() == ended + b"".join(line + b"\n" for line in cold_lines if line not in kept)
 
 
 def gap_record(n, key_code, arcs, edges):
@@ -485,8 +504,10 @@ def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "analyze", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_sweep([4], cache_path=cache)
-    monkeypatch.undo()  # the load replays each line through analyze
-    assert list(load_cache(cache, class_keys(4))) == done
+    monkeypatch.undo()
+    cold = run_sweep([4])
+    assert done == [r.key for r in cold[:10]]
+    assert cache.read_bytes().splitlines() == [r.line.encode() for r in cold[:10]]
 
 
 def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
