@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from indexcoding.bounds import mais, minrank_witness
-from indexcoding.codec import linear_code_from_matrix, serialize_code
+from indexcoding.bounds import gf2_row_basis, mais, minrank_witness
+from indexcoding.codec import serialize_code
 from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import (
     MAX_ENUM_VERTICES,
@@ -39,7 +39,7 @@ REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,c
 _POOL_CHUNK = 64  # tasks a pool worker takes at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
     """Everything measured about one isomorphism class.
 
@@ -49,6 +49,11 @@ class VerificationRecord:
     follow from, so a record cannot disagree with itself.  category is set
     only for n = 5, mais = 2; chromatic is 0 unless the confusion graph was
     actually colored.
+
+    line is the record's report line, which a sweep also appends to its
+    cache log.  It is rendered once, at construction (so `replace` renders
+    it again), and it is not an argument: equality, hashing and repr ignore
+    it.  The record is slotted, so a full sweep holds no dict per record.
     """
 
     key: CanonicalKey
@@ -59,6 +64,28 @@ class VerificationRecord:
     category: int
     chromatic: int
     code: tuple[int, ...]
+    line: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "line",
+            ",".join(
+                (
+                    self.key.hex,
+                    str(self.key.n),
+                    str(self.arcs),
+                    str(self.edges),
+                    str(self.mais),
+                    str(self.minrank),
+                    str(self.ell_star),
+                    "1" if self.gap else "0",
+                    str(self.category),
+                    str(self.chromatic),
+                    serialize_code(self.key.n, self.code),
+                )
+            ),
+        )
 
     @property
     def n(self) -> int:
@@ -71,26 +98,6 @@ class VerificationRecord:
     @property
     def gap(self) -> bool:
         return self.ell_star > self.mais
-
-    @cached_property
-    def line(self) -> str:
-        """The record's report line, which a sweep also appends to its cache
-        log, rendered once; not a field, so equality and hashing ignore it."""
-        return ",".join(
-            (
-                self.key.hex,
-                str(self.key.n),
-                str(self.arcs),
-                str(self.edges),
-                str(self.mais),
-                str(self.minrank),
-                str(self.ell_star),
-                "1" if self.gap else "0",
-                str(self.category),
-                str(self.chromatic),
-                serialize_code(self.key.n, self.code),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,9 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     """Measure one graph: bounds, exact length, category, witness code.
 
     This is the one derivation of a record; every sweep calls it once per
-    class and never reads a record back.  The record keeps the rows of the
-    minrank witness code, so minrank is their count.  Equal bounds settle
+    class and never reads a record back.  The record keeps the row basis of
+    the minrank witness matrix, the rows of its code, so minrank is their
+    count, and reads the arc count off the key.  Equal bounds settle
     the length by the sandwich alone.  Otherwise the confusion graph is
     colored exactly and the length is the bit width of its chromatic
     number, recorded alongside.  The theorem makes the witness code
@@ -124,20 +132,20 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     if key is None:
         key = canonical_key(g)
     lo = mais(g)
-    code = linear_code_from_matrix(g.n, minrank_witness(g, lo)[1])
+    code = tuple(gf2_row_basis(minrank_witness(g, lo)[1]))
     chromatic, ell = 0, lo
-    if lo != code.length:
+    if lo != len(code):
         chromatic = chromatic_number(build_confusion(g))
         ell = (chromatic - 1).bit_length()
     return VerificationRecord(
         key=key,
-        arcs=g.arc_count(),
+        arcs=key.key.bit_count(),
         edges=g.edge_count(),
         mais=lo,
         ell_star=ell,
         category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
         chromatic=chromatic,
-        code=code.rows,
+        code=code,
     )
 
 
@@ -318,19 +326,28 @@ def verify_theorem(
     return records, summarize(records), checks
 
 
+def _report_lines(records: Sequence[VerificationRecord]) -> Iterator[str]:
+    """The header and then each record's line, in key order, each ended by
+    a newline."""
+    yield REPORT_HEADER + "\n"
+    for r in sorted(records, key=attrgetter("key")):
+        yield r.line + "\n"
+
+
 def report_text(records: Sequence[VerificationRecord]) -> str:
-    lines = [REPORT_HEADER]
-    lines.extend(r.line for r in sorted(records, key=lambda r: r.key))
-    return "\n".join(lines) + "\n"
+    return "".join(_report_lines(records))
 
 
 def write_report(records: Sequence[VerificationRecord], path: str | Path) -> None:
-    """Write the report to a temporary file beside the target and rename it
-    over the target, so a failed write leaves any existing report intact."""
+    """Write report_text(records) to a temporary file beside the target and
+    rename it over the target, so a failed write leaves any existing report
+    intact.  The lines are streamed into the file one at a time: no copy of
+    the whole report is built."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(report_text(records))
+        with open(tmp, "w") as fh:
+            fh.writelines(_report_lines(records))
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,6 +1,8 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
+import errno
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -146,7 +148,24 @@ def test_cached_and_fresh_reports_are_identical(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    assert run_sweep([4], jobs=3) == run_sweep([4])
+    # equality ignores line, which crosses the pool in the pickled record
+    wide, serial = run_sweep([4], jobs=3), run_sweep([4])
+    assert wide == serial
+    assert [r.line for r in wide] == [r.line for r in serial]
+
+
+def test_a_record_is_slotted_and_renders_its_line_once():
+    r = analyze(FIG)
+    assert not hasattr(r, "__dict__")
+    assert "line" not in repr(r)
+    assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
+    bumped = replace(r, ell_star=3)
+    assert bumped.line == edit_line(r.line, ell_star="3", gap="1")
+    assert bumped != r
+    assert replace(bumped, ell_star=2) == r and hash(replace(bumped, ell_star=2)) == hash(r)
+    # 3.10-3.12 raise ValueError, 3.13 TypeError
+    with pytest.raises((TypeError, ValueError)):
+        replace(r, line="0x0")
 
 
 def test_verify_theorem_small_orders():
@@ -511,20 +530,59 @@ def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
 
 
 def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
-    records = run_sweep([2, 3])
+    records = run_sweep([2, 3, 4])
     path = tmp_path / "report.csv"
     path.write_text("old report\n")
 
-    def torn_write(self, text):
-        with open(self, "w") as fh:
-            fh.write(text[: len(text) // 2])
-        raise OSError("No space left on device")
+    class FullDisk(io.FileIO):
+        """A file whose disk fills after 64 bytes."""
 
-    monkeypatch.setattr(Path, "write_text", torn_write)
-    with pytest.raises(OSError):
+        room = 64
+
+        def write(self, data):
+            if len(data) > self.room:
+                super().write(bytes(data[: self.room]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(data)
+            return super().write(data)
+
+    def open_on_full_disk(file, mode="r", **kwargs):
+        assert mode == "w"
+        return io.TextIOWrapper(io.BufferedWriter(FullDisk(file, "w"), buffer_size=256), **kwargs)
+
+    monkeypatch.setattr(verify, "open", open_on_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
         write_report(records, path)
     assert path.read_text() == "old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_a_sweep_holds_its_records_and_writes_its_report_in_little_memory(tmp_path):
+    # a fresh interpreter, the orbit tables built first: the 9846 records
+    # with their lines are held in slots, and the report is streamed to its
+    # file, not joined into one text and encoded
+    probe = (
+        "import gc, sys, tracemalloc\n"
+        "from indexcoding.graph import orbit_table\n"
+        "from indexcoding.verify import run_sweep, write_report\n"
+        "for n in range(1, 6):\n"
+        "    orbit_table(n)\n"
+        "tracemalloc.start()\n"
+        "records = run_sweep(range(1, 6))\n"
+        "assert len(records) == 9846 and all(r.line for r in records)\n"
+        "gc.collect()\n"
+        "held = tracemalloc.get_traced_memory()[0]\n"
+        "tracemalloc.reset_peak()\n"
+        "write_report(records, sys.argv[1])\n"
+        "peak = tracemalloc.get_traced_memory()[1] - held\n"
+        "assert held < 4.1 * 2**20, held\n"
+        "assert peak < 512 * 2**10, peak\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
+    report = tmp_path / "report.csv"
+    proc = subprocess.run([sys.executable, "-c", probe, str(report)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"
 
 
 def test_summary_text_layout():
