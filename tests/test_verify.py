@@ -530,7 +530,7 @@ def test_interrupted_sweep_keeps_its_fresh_records(tmp_path, monkeypatch):
 
 
 def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
-    records = run_sweep([2, 3, 4])
+    records = run_sweep([2, 3])
     path = tmp_path / "report.csv"
     path.write_text("old report\n")
 
