@@ -60,9 +60,6 @@ class Digraph:
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
 
-    def arc_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
     def _mutual_fields(self) -> int:
         """The rows and the columns, each packed as n-bit fields (field i at
         shift i*n), ANDed: field i holds the vertices joined to i by an edge."""

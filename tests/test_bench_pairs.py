@@ -64,8 +64,8 @@ def keys(tree, depth):
 def test_the_driver_writes_every_key_of_the_bench_24_schema():
     driver = load_driver()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = argparse.Namespace(parent="p", change="HEAD", seed_base=100, pairs=5, seconds=None, out=None)
-    doc = json.loads(json.dumps(driver.document(args, 50, spec, stub_measurement(5))))
+    args = argparse.Namespace(parent="p", seed_base=100, pairs=5, out=None)
+    doc = json.loads(json.dumps(driver.document(args, spec, stub_measurement(5))))
     bench_24 = json.loads((ROOT / "BENCH_24.json").read_text())
     # the traced metrics are run.py's, and the layers of BENCH_24 are other
     # probes: below the top three levels only the workloads are compared
@@ -76,13 +76,15 @@ def test_the_driver_writes_every_key_of_the_bench_24_schema():
         assert set(layer) <= set(doc["layers"][name])
         assert set(layer["runs"]) <= set(doc["layers"][name]["runs"])
     assert doc["protocol"]["seeds"] == [100, 101, 102, 103, 104]
+    assert doc["protocol"]["seconds"] == spec["run_seconds"]
+    assert doc["protocol"]["driver"] == "python3 tools/bench_pairs.py --parent p --seed-base 100 --pairs 5"
 
 
 def test_the_driver_marks_each_metric_by_the_rules_of_its_bound():
     driver = load_driver()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = argparse.Namespace(parent="p", change="HEAD", seed_base=100, pairs=10, seconds=None, out=None)
-    doc = driver.document(args, 50, spec, stub_measurement(10))
+    args = argparse.Namespace(parent="p", seed_base=100, pairs=10, out=None)
+    doc = driver.document(args, spec, stub_measurement(10))
     summary = doc["workloads"]["cold_verify"]["summary"]
     assert summary["peak_rss_mib"]["change_better_pairs"] == 10
     assert summary["peak_rss_mib"]["verdict"] == "better"
@@ -104,3 +106,26 @@ def test_a_change_worse_by_more_than_the_bound_is_worse_even_when_the_spread_is_
     assert clear["verdict"] == "better"
     higher = driver.compare([1.0, 1.0], [2.0, 2.0], lower_is_better=False, bound=0.25)
     assert (higher["change_better_pairs"], higher["verdict"]) == (2, "better")
+
+
+def test_a_change_whose_runs_fail_is_never_better():
+    driver = load_driver()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = argparse.Namespace(parent="p", seed_base=100, pairs=10, out=None)
+    measured = stub_measurement(10)
+    # one incorrect change run on cold_verify, and one failed operation more
+    # than the parent on find_code_queries, each with its metrics unchanged
+    measured["runs"]["cold_verify"]["change"][3]["correct"] = False
+    measured["runs"]["find_code_queries"]["change"][5]["failed"] = 1
+    doc = driver.document(args, spec, measured)
+    for workload in ("cold_verify", "find_code_queries"):
+        summary = doc["workloads"][workload]["summary"]
+        assert summary["peak_rss_mib"]["change_better_pairs"] == 10
+        assert {s["verdict"] for s in summary.values()} == {"failed"}
+        assert any(note.startswith(f"{workload} failed") for note in doc["notes"])
+    # a change that fails no larger share than its parent is judged as usual
+    measured["runs"]["cold_verify"]["change"][3]["correct"] = True
+    measured["runs"]["find_code_queries"]["parent"][2]["failed"] = 1
+    doc = driver.document(args, spec, measured)
+    for workload in ("cold_verify", "find_code_queries"):
+        assert doc["workloads"][workload]["summary"]["peak_rss_mib"]["verdict"] == "better"

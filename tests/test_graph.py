@@ -139,7 +139,7 @@ def test_digraph_validation():
 
 def test_basic_accessors():
     g = parse_digraph(FIG_TEXT)
-    assert g.arc_count() == 8
+    assert sum(row.bit_count() for row in g.rows) == 8
     assert g.edge_count() == 3
     assert g.rows[1] >> 3 & 1 and not g.rows[3] >> 1 & 1
     assert g.edge_rows() == (0b0110, 0b0101, 0b0011, 0)
@@ -440,13 +440,14 @@ def test_classes_above_is_the_one_arc_inclusion_relation():
     # arc more and some relabeling of a lies inside b
     for n in range(1, 5):
         graphs = [digraph_from_code(n, code) for code in orbit_table(n).reps]
+        arcs = [sum(row.bit_count() for row in g.rows) for g in graphs]
         steps = [classes_above(n, c) for c in range(len(graphs))]
-        assert [len(ups) for ups in steps] == [n * (n - 1) - g.arc_count() for g in graphs]
+        assert [len(ups) for ups in steps] == [n * (n - 1) - m for m in arcs]
         expected = {
             (a, b)
             for a, ga in enumerate(graphs)
             for b, gb in enumerate(graphs)
-            if gb.arc_count() == ga.arc_count() + 1 and oracles.embeds(n, ga.rows, gb.rows)
+            if arcs[b] == arcs[a] + 1 and oracles.embeds(n, ga.rows, gb.rows)
         }
         assert {(a, b) for a, ups in enumerate(steps) for b in ups} == expected
     steps = [classes_above(5, c) for c in range(len(orbit_table(5).reps))]

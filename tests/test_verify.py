@@ -2,7 +2,9 @@
 
 import errno
 import hashlib
+import importlib.util
 import io
+import json
 import os
 import random
 import subprocess
@@ -558,30 +560,22 @@ def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
 
 
 def test_a_sweep_holds_its_records_and_writes_its_report_in_little_memory(tmp_path):
-    # a fresh interpreter, the orbit tables built first: the 9846 records
-    # with their lines are held in slots, and the report is streamed to its
-    # file, not joined into one text and encoded
-    probe = (
-        "import gc, sys, tracemalloc\n"
-        "from indexcoding.graph import orbit_table\n"
-        "from indexcoding.verify import run_sweep, write_report\n"
-        "for n in range(1, 6):\n"
-        "    orbit_table(n)\n"
-        "tracemalloc.start()\n"
-        "records = run_sweep(range(1, 6))\n"
-        "assert len(records) == 9846 and all(r.line for r in records)\n"
-        "gc.collect()\n"
-        "held = tracemalloc.get_traced_memory()[0]\n"
-        "tracemalloc.reset_peak()\n"
-        "write_report(records, sys.argv[1])\n"
-        "peak = tracemalloc.get_traced_memory()[1] - held\n"
-        "assert held < 4.1 * 2**20, held\n"
-        "assert peak < 512 * 2**10, peak\n"
-    )
+    # the layer probe of tools/bench_pairs.py, in a fresh interpreter: the
+    # 9846 records with their lines are held in slots, and the report is
+    # streamed to its file, not joined into one text and encoded
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_pairs", root / "tools" / "bench_pairs.py")
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
     env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
     report = tmp_path / "report.csv"
-    proc = subprocess.run([sys.executable, "-c", probe, str(report)], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", driver.PROBE, str(report)], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout)
+    assert layers["records_held_mib"] < 4.1
+    assert layers["write_report_peak_mib"] < 0.5
     assert hashlib.sha256(report.read_bytes()).hexdigest() == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"
 
 

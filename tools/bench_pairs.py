@@ -2,10 +2,10 @@
 """Benchmark a change against its parent in alternating pairs and write a
 BENCH_*.json, run from the repository root.
 
-    python3 tools/bench_pairs.py --parent REF --seed-base N --pairs K --out BENCH_X.json [--change REF]
+    python3 tools/bench_pairs.py --parent REF --seed-base N --pairs K --out BENCH_X.json
 
-Both commits (the change defaults to HEAD) are cloned from this repository
-into fresh directories under the temporary directory, and both clones are
+The parent and HEAD, the change, are cloned from this repository into
+fresh directories under the temporary directory, and both clones are
 byte-compiled with compileall before any run, so neither side pays for
 compiling in its first run.  Each clone's own perfbench/run.py runs
 unchanged:
@@ -17,10 +17,13 @@ unchanged:
   layers   PROBE in a fresh interpreter per side, K alternating rounds
   tier1    the change's tier-1 suite, once
 
-S is BENCHMARK.json's run_seconds unless --seconds is given.  For every
-end-to-end metric the JSON holds each side's quartiles, the pairs the change
-wins (ties count for neither side) and a verdict, in this order of tests:
+S is BENCHMARK.json's run_seconds.  For every end-to-end metric the JSON
+holds each side's quartiles, the pairs the change wins (ties count for
+neither side) and a verdict, in this order of tests:
 
+  failed      a run of the change on this workload is incorrect or exits
+              non-zero, or a larger share of its operations fails than of
+              the parent's
   worse       the change's median is worse than the parent's by more than
               the metric's bound, a fraction of the parent's median
   unresolved  the parent's quartile spread exceeds that bound, and not every
@@ -46,11 +49,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUARTILE_METHOD = "inclusive"
 
-# Held memory of a full sweep and the peak of writing its report, traced in
-# a fresh interpreter after the orbit tables are built.  It prints one JSON
-# object whose keys are the names in LAYERS.
+# Held memory of a full sweep and the peak of writing its report to the
+# path in argv[1], traced in a fresh interpreter after the orbit tables are
+# built.  It prints one JSON object whose keys are the names in LAYERS.
 PROBE = """\
-import gc, json, os, sys, tempfile, tracemalloc
+import gc, json, sys, tracemalloc
 from indexcoding.graph import orbit_table
 from indexcoding.verify import run_sweep, write_report
 for n in range(1, 6):
@@ -61,8 +64,7 @@ assert len(records) == 9846 and all(r.line for r in records)
 gc.collect()
 held = tracemalloc.get_traced_memory()[0]
 tracemalloc.reset_peak()
-with tempfile.TemporaryDirectory() as tmp:
-    write_report(records, os.path.join(tmp, "report.csv"))
+write_report(records, sys.argv[1])
 peak = tracemalloc.get_traced_memory()[1] - held
 print(json.dumps({"records_held_mib": held / 2**20, "write_report_peak_mib": peak / 2**20}))
 """
@@ -88,16 +90,21 @@ def clone(commit: str, dest: Path) -> None:
 
 
 def run_bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """One perfbench/run.py of a clone: its result (the last stdout line) and
-    its env line."""
+    """One perfbench/run.py of a clone: its result (the last stdout line),
+    not correct if the run exits non-zero, and its env line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=side, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = [json.loads(line[len("env: "):]) for line in lines if line.startswith("env: ")]
-    if not lines or not env:
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if result is None or not env:
         raise RuntimeError(f"{' '.join(argv)} in {side} exited with {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), env[0]
+    result["correct"] = result["correct"] and proc.returncode == 0
+    return result, env[0]
 
 
 def result_row(seed: int, result: dict) -> dict:
@@ -145,17 +152,32 @@ def compare(parent: list[float], change: list[float], lower_is_better: bool, bou
     return summary
 
 
+def failed_share(rows: list[dict]) -> float:
+    return sum(row["failed"] for row in rows) / max(1, sum(row["attempted"] for row in rows))
+
+
 def summarize(runs: dict[str, dict[str, list[dict]]], spec: dict) -> tuple[dict, list[str]]:
     """The workloads section, {W: {"summary", "runs"}}, from the per-run rows
-    of each side, and a note for every metric that is not resolved."""
+    of each side, and a note for every workload whose change runs fail and
+    for every metric that is not resolved."""
     out, notes = {}, []
     for workload, sides in runs.items():
+        incorrect = sum(not row["correct"] for row in sides["change"])
+        parent_share, change_share = failed_share(sides["parent"]), failed_share(sides["change"])
+        failing = incorrect or change_share > parent_share
+        if failing:
+            notes.append(
+                f"{workload} failed: {incorrect} of {len(sides['change'])} change runs are incorrect, and"
+                f" {change_share:.4g} of the change's operations fail against {parent_share:.4g} of the parent's."
+            )
         summary = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
             series = {side: [row[name] for row in rows] for side, rows in sides.items()}
             s = summary[name] = compare(series["parent"], series["change"], metric["better"] == "lower", metric["bound"])
-            if s["verdict"] == "unresolved":
+            if failing:
+                s["verdict"] = "failed"
+            elif s["verdict"] == "unresolved":
                 notes.append(
                     f"{workload} {name} is unresolved: the parent's quartile spread "
                     f"({s['parent']['q3'] - s['parent']['q1']:.4g} {metric['unit']}) is "
@@ -197,11 +219,12 @@ def log(text: str) -> None:
     print(text, file=sys.stderr, flush=True)
 
 
-def document(args: argparse.Namespace, seconds: float, spec: dict, measured: dict) -> dict:
+def document(args: argparse.Namespace, spec: dict, measured: dict) -> dict:
     """The BENCH_*.json content from what a run of the driver measured:
     commits and envs per side, the pair rows per workload, the traced
     results, the probe rounds and the tier-1 result."""
     commits, envs = measured["commits"], measured["envs"]
+    seconds = spec["run_seconds"]
     sections, notes = summarize(measured["runs"], spec)
     seeds = [args.seed_base + i for i in range(args.pairs)]
     return {
@@ -209,8 +232,8 @@ def document(args: argparse.Namespace, seconds: float, spec: dict, measured: dic
         " per workload, one traced cold_verify run per side, and the layer probe",
         "protocol": {
             "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0",
-            "driver": f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change}"
-            f" --seed-base {args.seed_base} --pairs {args.pairs} --seconds {seconds:g}",
+            "driver": f"python3 tools/bench_pairs.py --parent {args.parent} --seed-base {args.seed_base}"
+            f" --pairs {args.pairs}",
             "seeds": seeds,
             "order": "even pairs run the parent first, odd pairs the change first; workloads in BENCHMARK.json order",
             "runs_per_side_per_workload": args.pairs,
@@ -232,10 +255,11 @@ def document(args: argparse.Namespace, seconds: float, spec: dict, measured: dic
     }
 
 
-def measure(args: argparse.Namespace, seconds: float, spec: dict) -> dict:
+def measure(args: argparse.Namespace, spec: dict) -> dict:
     """Clone both sides and run the pairs, the traced runs, the probe rounds
     and the change's tier-1 suite."""
-    commits = {"parent": git("rev-parse", args.parent + "^{commit}"), "change": git("rev-parse", args.change + "^{commit}")}
+    commits = {"parent": git("rev-parse", args.parent + "^{commit}"), "change": git("rev-parse", "HEAD^{commit}")}
+    seconds = spec["run_seconds"]
     seeds = [args.seed_base + i for i in range(args.pairs)]
     envs: dict[str, dict] = {}
     runs = {w["name"]: {"parent": [], "change": []} for w in spec["workloads"]}
@@ -262,7 +286,10 @@ def measure(args: argparse.Namespace, seconds: float, spec: dict) -> dict:
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
-                out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True, capture_output=True, text=True)
+                report = Path(tmp) / f"probe-{side}.csv"
+                out = subprocess.run(
+                    [sys.executable, "-c", PROBE, str(report)], env=env, check=True, capture_output=True, text=True
+                )
                 rounds[side].append(json.loads(out.stdout))
         log(f"layers: {json.dumps(rounds)}")
         tests = tier1(sides["change"])
@@ -273,17 +300,14 @@ def measure(args: argparse.Namespace, seconds: float, spec: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="the parent ref")
-    parser.add_argument("--change", default="HEAD", help="the change ref (default HEAD)")
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, help="measured time per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    doc = document(args, seconds, spec, measure(args, seconds, spec))
+    doc = document(args, spec, measure(args, spec))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     log(f"wrote {args.out}")
     return 0
