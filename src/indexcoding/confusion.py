@@ -17,7 +17,6 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Sequence
 
-from indexcoding.bounds import mais, minrank_witness
 from indexcoding.graph import Digraph
 
 
@@ -231,10 +230,7 @@ def chromatic_number(adj: Sequence[int]) -> int:
 
 
 def ell_star(g: Digraph) -> int:
-    """Exact optimal zero-error codelength, decided as verify.analyze does:
-    equal bounds settle it outright, otherwise it is the bit width of the
-    confusion graph's chromatic number."""
-    lo = mais(g)
-    if lo == minrank_witness(g, lo)[0]:
-        return lo
+    """Exact optimal zero-error codelength by its definition: the bit width
+    of the confusion graph's chromatic number.  The package decides it
+    only in verify.analyze, which colors only when the bounds differ."""
     return (chromatic_number(build_confusion(g)) - 1).bit_length()

@@ -45,10 +45,11 @@ class VerificationRecord:
 
     The canonical key pins the class and decodes back to its representative,
     so records are self-contained.  code holds the row masks of the witness
-    code, x_{j+1} at bit j; minrank and gap are read off the fields they
-    follow from, so a record cannot disagree with itself.  category is set
-    only for n = 5, mais = 2; chromatic is 0 unless the confusion graph was
-    actually colored.
+    code, x_{j+1} at bit j.  category is set only for n = 5, mais = 2;
+    chromatic is 0 unless the confusion graph was actually colored.  arcs,
+    minrank, ell_star and gap are read off the fields they follow from, so
+    a record cannot disagree with itself: ell_star is the bit width of
+    chromatic when the graph was colored, and mais when the bounds met.
 
     line is the record's report line, which a sweep also appends to its
     cache log.  It is rendered once, at construction (so `replace` renders
@@ -57,10 +58,8 @@ class VerificationRecord:
     """
 
     key: CanonicalKey
-    arcs: int
     edges: int
     mais: int
-    ell_star: int
     category: int
     chromatic: int
     code: tuple[int, ...]
@@ -92,8 +91,16 @@ class VerificationRecord:
         return self.key.n
 
     @property
+    def arcs(self) -> int:
+        return self.key.key.bit_count()
+
+    @property
     def minrank(self) -> int:
         return len(self.code)
+
+    @property
+    def ell_star(self) -> int:
+        return (self.chromatic - 1).bit_length() if self.chromatic else self.mais
 
     @property
     def gap(self) -> bool:
@@ -117,13 +124,14 @@ class SweepSummary:
 def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecord:
     """Measure one graph: bounds, exact length, category, witness code.
 
-    This is the one derivation of a record; every sweep calls it once per
-    class and never reads a record back.  The record keeps the row basis of
-    the minrank witness matrix, the rows of its code, so minrank is their
-    count, and reads the arc count off the key.  Equal bounds settle
-    the length by the sandwich alone.  Otherwise the confusion graph is
-    colored exactly and the length is the bit width of its chromatic
-    number, recorded alongside.  The theorem makes the witness code
+    This is the one derivation of a record, and the one place where the
+    sandwich mais <= ell_star <= minrank is decided; every sweep calls it
+    once per class and never reads a record back.  The record keeps the row
+    basis of the minrank witness matrix, the rows of its code, so minrank
+    is their count.  Equal bounds settle the length by the sandwich alone,
+    and chromatic stays 0.  Otherwise the confusion graph is colored
+    exactly and its chromatic number is recorded; the record reads the
+    length off it as the bit width.  The theorem makes the witness code
     optimal, and a class where it is not shows up as a violation in
     `summarize`.  For a g that is not its class representative, the code
     is the witness in g's own labeling, so the record (the `analyze
@@ -133,18 +141,12 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
         key = canonical_key(g)
     lo = mais(g)
     code = tuple(gf2_row_basis(minrank_witness(g, lo)[1]))
-    chromatic, ell = 0, lo
-    if lo != len(code):
-        chromatic = chromatic_number(build_confusion(g))
-        ell = (chromatic - 1).bit_length()
     return VerificationRecord(
         key=key,
-        arcs=key.key.bit_count(),
         edges=g.edge_count(),
         mais=lo,
-        ell_star=ell,
         category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
-        chromatic=chromatic,
+        chromatic=0 if lo == len(code) else chromatic_number(build_confusion(g)),
         code=code,
     )
 
@@ -249,15 +251,9 @@ def summarize(records: Sequence[VerificationRecord]) -> SweepSummary:
     )
 
 
-def check_lemma_mais2(max_n: int, records: Sequence[VerificationRecord]) -> bool:
+def check_lemma_mais2(records: Sequence[VerificationRecord]) -> bool:
     """True iff every class with mais >= n-2 has ell_star = mais."""
-    if not 1 <= max_n <= MAX_ENUM_VERTICES:
-        raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
-    return all(
-        r.ell_star == r.mais
-        for r in records
-        if r.n <= max_n and r.mais >= r.n - 2
-    )
+    return all(r.ell_star == r.mais for r in records if r.mais >= r.n - 2)
 
 
 def check_monotonicity(n: int, records: Sequence[VerificationRecord]) -> bool:
@@ -316,7 +312,7 @@ def verify_theorem(
     if not 1 <= max_n <= MAX_ENUM_VERTICES:
         raise ValueError(f"max_n must be in 1..{MAX_ENUM_VERTICES}, got {max_n}")
     records = run_sweep(range(1, max_n + 1), jobs=jobs, cache_path=cache_path)
-    checks = {"mais >= n-2 squeeze": check_lemma_mais2(max_n, records)}
+    checks = {"mais >= n-2 squeeze": check_lemma_mais2(records)}
     if max_n == 5:
         checks["structural conditions (n=5, mais=2)"] = check_structural_conditions(
             [r for r in records if r.n == 5]

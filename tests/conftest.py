@@ -27,11 +27,12 @@ def gap_records(full_records):
 @pytest.fixture
 def edge_class_violation(monkeypatch):
     """analyze claims a wrong optimal length, 2 bits, for the two-vertex
-    edge class 0x3, so the sweep's own record is a violation."""
+    edge class 0x3, by recording a chromatic number of 4 for its confusion
+    graph, so the sweep's own record is a violation."""
     analyze_one = verify.analyze
 
     def wrong_for_the_edge_class(g, *, key):
         r = analyze_one(g, key=key)
-        return replace(r, ell_star=2) if key == CanonicalKey(2, 3) else r
+        return replace(r, chromatic=4) if key == CanonicalKey(2, 3) else r
 
     monkeypatch.setattr(verify, "analyze", wrong_for_the_edge_class)

@@ -7,9 +7,9 @@ via full fitting-matrix enumeration (and, as the reference for the minrank
 search, a pivot-dict branch and bound), isomorphism via
 permutation search, confusability straight from the decoding definition,
 chromatic numbers via independent-set cover DP, alpha via naive
-recursion, and girth via vertex sequences in every order.  Canonical keys
-and code text are read by their definitions, without the package's
-parsers.
+recursion, and girth via vertex sequences in every order.  Canonical keys,
+code text and graph text are read by their definitions, without the
+package's parsers.
 
 Graphs are passed as (n, rows) with bit j of rows[i] meaning arc i->j.
 """
@@ -272,6 +272,78 @@ def rows_from_key(n: int, code: int) -> tuple[int, ...]:
     for (i, j), bit in zip(pairs, format(code, f"0{len(pairs)}b")):
         if bit == "1":
             rows[i] |= 1 << j
+    return tuple(rows)
+
+
+TOKEN_GAPS = " \t\r\n"
+# every break str.splitlines reads: each ends a comment, and those outside
+# TOKEN_GAPS are then token text
+COMMENT_ENDS = "\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def graph_text_tokens(text: str) -> list[str]:
+    """The tokens of graph text, read one character at a time: runs of
+    characters between ASCII spaces, tabs, CRs and LFs, with each comment,
+    from '#' up to the next break in COMMENT_ENDS, left out and joining
+    nothing apart."""
+    tokens, word, in_comment = [], "", False
+    for ch in text:
+        if in_comment:
+            if ch not in COMMENT_ENDS:
+                continue
+            in_comment = False
+        if ch == "#":
+            in_comment = True
+        elif ch in TOKEN_GAPS:
+            if word:
+                tokens.append(word)
+            word = ""
+        else:
+            word += ch
+    if word:
+        tokens.append(word)
+    return tokens
+
+
+def decimal(text: str) -> int | None:
+    """The value of a nonempty run of ASCII digits, or None."""
+    if not text:
+        return None
+    value = 0
+    for ch in text:
+        if ch not in "0123456789":
+            return None
+        value = value * 10 + "0123456789".index(ch)
+    return value
+
+
+def parse_graph_text(text: str) -> tuple[int, ...] | int:
+    """Graph text "n N [;] a->b a-b ..." read by its grammar: the rows, with
+    bit b-1 of rows[a-1] for an arc a->b and both directions for a-b, or the
+    1-based position of the first bad token (0 for text with no token).
+    Token 1 is "n", token 2 is N in 1..5, token 3 may be ";", and every
+    later token is two decimals in 1..N, unequal, joined by "->" or "-"."""
+    tokens = graph_text_tokens(text)
+    if not tokens:
+        return 0
+    if tokens[0] != "n":
+        return 1
+    n = decimal(tokens[1]) if len(tokens) > 1 else None
+    if n is None or not 1 <= n <= 5:
+        return 2
+    rows = [0] * n
+    first = 3 if tokens[2:3] == [";"] else 2
+    for index in range(first, len(tokens)):
+        token = tokens[index]
+        cut = token.find("-")
+        one_way = token[cut + 1 : cut + 2] == ">"
+        a = decimal(token[:cut]) if cut > 0 else None
+        b = decimal(token[cut + 2 if one_way else cut + 1 :])
+        if a is None or b is None or not (1 <= a <= n and 1 <= b <= n) or a == b:
+            return index + 1
+        rows[a - 1] |= 1 << (b - 1)
+        if not one_way:
+            rows[b - 1] |= 1 << (a - 1)
     return tuple(rows)
 
 

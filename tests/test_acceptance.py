@@ -151,7 +151,7 @@ def test_criterion_03_mais_at_least_n_minus_2_forces_equality(full_records):
     squeezed = [r for r in full_records if r.mais >= r.n - 2]
     assert squeezed
     assert all(r.ell_star == r.mais for r in squeezed)
-    assert check_lemma_mais2(5, full_records)
+    assert check_lemma_mais2(full_records)
 
 
 def test_criterion_04_gap_structure_and_the_two_core_classes(full_records, gap_records):

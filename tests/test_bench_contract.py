@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import indexcoding.cli as cli
 from indexcoding.graph import parse_digraph
 from indexcoding.verify import analyze, check_monotonicity, report_text, run_sweep
 
@@ -52,3 +53,22 @@ def test_analyze_result_has_both_bounds():
     # the traced run counts the classes the sandwich settles as mais == minrank
     r = analyze(parse_digraph("n 3 ; 1-2 2-3"))
     assert (r.mais, r.minrank) == (2, 2)
+
+
+def test_find_code_makes_exactly_one_analyze_call(monkeypatch, capsys):
+    # the traced query pass divides its per-layer figures by the number of
+    # analyze calls, and it wraps every name analyze is bound to
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return analyze(*args, **kwargs)
+
+    for layer in traced_layers():
+        home = importlib.import_module(f"indexcoding.{layer}")
+        for name, value in list(vars(home).items()):
+            if value is analyze:
+                monkeypatch.setattr(home, name, counted)
+    assert cli.main(["find-code", "--graph", "n 5 ; 1-3 3-5 5-2 2-4 4-1", "--format", "csv"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("\n") == 1

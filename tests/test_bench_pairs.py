@@ -9,6 +9,7 @@ rules.
 import argparse
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,7 +40,8 @@ def stub_measurement(pairs):
     }
     env = {"src_sha256": "0" * 64, "nproc": 2, "python": "3.11.7"}
     metrics = {"correct": True, "failed": 0, "metrics": {"verify.analyze.calls": 9846}}
-    probe = {"records_held_mib": 3.7, "write_report_peak_mib": 0.16}
+    probe = {"records_held_mib": 3.7, "write_report_peak_mib": 0.16, "orbit_table_1_to_5_ms": 150.0,
+             "chi_28_gap_classes_ms": 40.0}
     return {
         "commits": {"parent": "a" * 40, "change": "b" * 40},
         "envs": {"parent": env, "change": env},
@@ -67,10 +69,13 @@ def test_the_driver_writes_every_key_of_the_bench_24_schema():
     args = argparse.Namespace(parent="p", seed_base=100, pairs=5, out=None)
     doc = json.loads(json.dumps(driver.document(args, spec, stub_measurement(5))))
     bench_24 = json.loads((ROOT / "BENCH_24.json").read_text())
-    # the traced metrics are run.py's, and the layers of BENCH_24 are other
-    # probes: below the top three levels only the workloads are compared
-    assert {k for k in keys(bench_24, 3) if k[0] != "layers"} <= keys(doc, 3)
+    # the traced metrics are run.py's: below the top three levels only the
+    # workloads and the layers are compared
+    assert keys(bench_24, 3) <= keys(doc, 3)
     assert keys(bench_24["workloads"], 6) <= keys(doc["workloads"], 6)
+    # the two layer series of BENCH_24 are probes under the same names
+    assert set(bench_24["layers"]) <= set(driver.LAYERS)
+    assert keys(bench_24["layers"], 3) <= keys(doc["layers"], 3)
     layer = next(iter(bench_24["layers"].values()))
     for name in driver.LAYERS:
         assert set(layer) <= set(doc["layers"][name])
@@ -95,6 +100,7 @@ def test_the_driver_marks_each_metric_by_the_rules_of_its_bound():
     assert summary["setup_s"]["verdict"] == "unresolved"
     assert any(note.startswith("cold_verify setup_s is unresolved") for note in doc["notes"])
     assert doc["layers"]["records_held_mib"]["change_better_pairs"] == 10
+    assert doc["layers"]["chi_28_gap_classes_ms"]["runs"]["change"] == [40.0] * 10
 
 
 def test_a_change_worse_by_more_than_the_bound_is_worse_even_when_the_spread_is_wide():
@@ -129,3 +135,21 @@ def test_a_change_whose_runs_fail_is_never_better():
     doc = driver.document(args, spec, measured)
     for workload in ("cold_verify", "find_code_queries"):
         assert doc["workloads"][workload]["summary"]["peak_rss_mib"]["verdict"] == "better"
+
+
+def test_the_tier1_run_records_the_command_it_ran(monkeypatch, tmp_path):
+    driver = load_driver()
+    ran = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        ran.append((argv, env["PYTHONPATH"]))
+        return argparse.Namespace(stdout="3 passed, 1 failed in 0.1s\n", returncode=1)
+
+    monkeypatch.setattr(driver.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "extra")
+    result = driver.tier1(tmp_path)
+    (argv, pythonpath), = ran
+    assert argv[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert pythonpath == "src" + os.pathsep + "extra"
+    assert result["command"] == f"PYTHONPATH=src{os.pathsep}extra python -m pytest -q --continue-on-collection-errors"
+    assert (result["tests"], result["failed"]) == (3, 1)

@@ -288,7 +288,8 @@ def test_ell_star_stays_inside_sandwich_sampled():
 
 
 def test_ell_star_agrees_with_analyze(full_records):
-    # the sweep's records are analyze's output on each class representative
+    # the sweep's records are analyze's output on each class representative:
+    # its sandwich, or χ where the bounds differ, against χ's definition
     records = [r for r in full_records if r.n <= 4 or r.gap]
     assert len(records) == 238 + 28
     for r in records:

@@ -1,6 +1,7 @@
 """Graph parsing, structure queries, canonical labeling, enumeration."""
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import permutations, product
 from math import factorial
@@ -9,7 +10,7 @@ from operator import or_
 import pytest
 
 import oracles
-from indexcoding import graph
+from indexcoding import cli, graph
 from indexcoding.graph import (
     CanonicalKey,
     Category,
@@ -111,6 +112,61 @@ def test_parse_errors_carry_token_position(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_digraph(text)
     assert fragment in str(err.value)
+
+
+# what a mutation inserts: token text, ASCII gaps and line ends, comment
+# starts, the other breaks a comment stops at, non-ASCII digits and
+# spaces, and a BOM
+MUTATION_PIECES = (
+    *"0123456789", "-", ">", "->", ";", "#", "# c", "n", " ", "\t", "\n", "\r", "\r\n",
+    "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\u0662", "\uff15", "\u00b2", "\xa0", "\u3000", "\ufeff",
+)
+
+
+def mutated_graph_text(rng):
+    """A text of a random graph, spelled with random gaps, and then, in
+    most draws, with one to three pieces inserted, characters deleted or
+    characters replaced."""
+    n = rng.randint(1, 5)
+    tokens = [f"{a}{rng.choice(('->', '-'))}{b}" for a, b in permutations(range(1, n + 1), 2) if rng.random() < 0.3]
+    head = ["n", str(n)] + ([";"] if rng.random() < 0.7 else [])
+    text = "".join(token + rng.choice((" ", "  ", "\t", "\n", " # note\n")) for token in head + tokens)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:at] + rng.choice(MUTATION_PIECES) + text[at:]
+        else:
+            text = text[:at] + (rng.choice(MUTATION_PIECES) if kind == 1 else "") + text[at + 1 :]
+    return text
+
+
+def test_parse_agrees_with_the_grammar_oracle_on_mutated_texts():
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for _ in range(3000):
+        text = mutated_graph_text(rng)
+        expected = oracles.parse_graph_text(text)
+        if isinstance(expected, tuple):
+            assert parse_digraph(text).rows == expected, repr(text)
+            outcomes["parsed"] += 1
+            continue
+        with pytest.raises(GraphFormatError) as err:
+            parse_digraph(text)
+        where = f"token {expected}:" if expected else "empty graph description"
+        assert str(err.value).startswith(where), (repr(text), str(err.value))
+        outcomes[expected] += 1
+    # both outcomes, and errors at the count, the separator and the arcs
+    assert outcomes["parsed"] > 1000 and outcomes[1] and outcomes[2] and outcomes[3] and outcomes[4]
+
+
+def test_cli_exits_by_the_grammar_oracle_on_a_sample(capsys):
+    rng = random.Random(2029)
+    for _ in range(200):
+        text = mutated_graph_text(rng)
+        assert cli.main(["classify", f"--graph={text}"]) == (0 if isinstance(oracles.parse_graph_text(text), tuple) else 2)
+    capsys.readouterr()
 
 
 def test_serialize_normal_form_and_roundtrip():

@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -161,10 +161,13 @@ def test_a_record_is_slotted_and_renders_its_line_once():
     assert not hasattr(r, "__dict__")
     assert "line" not in repr(r)
     assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
-    bumped = replace(r, ell_star=3)
-    assert bumped.line == edit_line(r.line, ell_star="3", gap="1")
+    # arcs and ell_star are read off key, mais and chromatic, not stored
+    assert [f.name for f in fields(r)] == ["key", "edges", "mais", "category", "chromatic", "code", "line"]
+    bumped = replace(r, chromatic=5)
+    assert bumped.ell_star == 3
+    assert bumped.line == edit_line(r.line, ell_star="3", gap="1", chromatic="5")
     assert bumped != r
-    assert replace(bumped, ell_star=2) == r and hash(replace(bumped, ell_star=2)) == hash(r)
+    assert replace(bumped, chromatic=0) == r and hash(replace(bumped, chromatic=0)) == hash(r)
     # 3.10-3.12 raise ValueError, 3.13 TypeError
     with pytest.raises((TypeError, ValueError)):
         replace(r, line="0x0")
@@ -372,18 +375,19 @@ def test_a_sweep_appends_exactly_the_cold_lines_its_cache_lacks(tmp_path):
         assert cache.read_bytes() == ended + b"".join(line + b"\n" for line in cold_lines if line not in kept)
 
 
-def gap_record(n, key_code, arcs, edges):
+def gap_record(n, key_code, edges):
+    """A record with mais 2 and a chromatic number of 7, so ell_star 3."""
     return VerificationRecord(
-        key=CanonicalKey(n, key_code), arcs=arcs, edges=edges,
-        mais=2, ell_star=3, category=0, chromatic=0, code=(0b01, 0b10),
+        key=CanonicalKey(n, key_code), edges=edges, mais=2, category=0, chromatic=7, code=(0b01, 0b10),
     )
 
 
 def test_summarize_and_maximal_classes_on_crafted_family():
     # chain under arc deletion at n = 2: empty < single arc < edge (all marked gap)
-    empty, arc, edge = gap_record(2, 0x0, 0, 0), gap_record(2, 0x1, 1, 0), gap_record(2, 0x3, 2, 1)
+    empty, arc, edge = gap_record(2, 0x0, 0), gap_record(2, 0x1, 0), gap_record(2, 0x3, 1)
     texts = ("n 2", "n 2 ; 1->2", "n 2 ; 1-2")
     assert [r.key for r in (empty, arc, edge)] == [canonical_key(parse_digraph(t)) for t in texts]
+    assert [(r.arcs, r.ell_star, r.gap) for r in (empty, arc, edge)] == [(0, 3, True), (1, 3, True), (2, 3, True)]
     cores = maximal_gap_classes([empty, arc, edge])
     assert cores == [empty]
     summary = summarize([empty, arc, edge])
@@ -395,19 +399,22 @@ def test_maximal_classes_are_minimal_over_the_down_closure():
     # not convex: the single arc between the empty graph and the edge is no
     # gap, so the edge has no gap one arc below it, yet the empty graph lies
     # two arcs below and the edge is no core
-    empty, edge = gap_record(2, 0x0, 0, 0), gap_record(2, 0x3, 2, 1)
+    empty, edge = gap_record(2, 0x0, 0), gap_record(2, 0x3, 1)
     assert maximal_gap_classes([edge, empty]) == [empty]
     # orders are kept apart, and the cores come back in input order
-    empty3 = gap_record(3, 0x0, 0, 0)
+    empty3 = gap_record(3, 0x0, 0)
     assert maximal_gap_classes([edge, empty3, empty]) == [empty3, empty]
     assert maximal_gap_classes([]) == []
 
 
 def test_check_lemma_small_orders():
-    assert check_lemma_mais2(3, run_sweep(range(1, 4)))
-    assert check_lemma_mais2(4, run_sweep(range(1, 5)))
-    with pytest.raises(ValueError):
-        check_lemma_mais2(0, [])
+    assert check_lemma_mais2(run_sweep(range(1, 4)))
+    records = run_sweep(range(1, 5))
+    assert check_lemma_mais2(records)
+    # a squeezed class (n = 4, mais 2) recorded as colored with 5 colors
+    # claims 3 bits, above its mais
+    squeezed = next(r for r in records if r.n == 4 and r.mais == 2)
+    assert not check_lemma_mais2([replace(squeezed, chromatic=5)])
 
 
 def labeled_monotonicity(n):
@@ -454,7 +461,8 @@ def test_check_monotonicity_agrees_with_labeled_reference(full_records):
 def test_check_monotonicity_catches_a_lowered_record(full_records):
     empty = CanonicalKey(5, 0)
     assert next(r for r in full_records if r.key == empty).ell_star == 5
-    lowered = [replace(r, ell_star=1) if r.key == empty else r for r in full_records]
+    # a record colored with 2 colors claims 1 bit
+    lowered = [replace(r, chromatic=2) if r.key == empty else r for r in full_records]
     assert not check_monotonicity(5, lowered)
 
 
@@ -574,6 +582,7 @@ def test_a_sweep_holds_its_records_and_writes_its_report_in_little_memory(tmp_pa
     )
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout)
+    assert set(layers) == set(driver.LAYERS)
     assert layers["records_held_mib"] < 4.1
     assert layers["write_report_peak_mib"] < 0.5
     assert hashlib.sha256(report.read_bytes()).hexdigest() == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"

@@ -15,7 +15,7 @@ unchanged:
            the parent first when i is even, the change first when it is odd
   traced   one `--trace 1` cold_verify run per side, seed N+K, parent first
   layers   PROBE in a fresh interpreter per side, K alternating rounds
-  tier1    the change's tier-1 suite, once
+  tier1    the change's tier-1 suite, once, by ROADMAP.md's tier-1 command
 
 S is BENCHMARK.json's run_seconds.  For every end-to-end metric the JSON
 holds each side's quartiles, the pairs the change wins (ties count for
@@ -39,6 +39,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -49,15 +50,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUARTILE_METHOD = "inclusive"
 
-# Held memory of a full sweep and the peak of writing its report to the
-# path in argv[1], traced in a fresh interpreter after the orbit tables are
-# built.  It prints one JSON object whose keys are the names in LAYERS.
+# In a fresh interpreter: the time of building orbit_table(1..5); then the
+# memory a full sweep holds and the peak of writing its report to the path
+# in argv[1], traced with tracemalloc; then, with tracing stopped, the best
+# of 5 passes of chromatic_number over the confusion graphs of the sweep's
+# 28 gap classes.  The timings stay outside the traced window, so they do
+# not move the memory figures.  It prints one JSON object whose keys are
+# the names in LAYERS.
 PROBE = """\
-import gc, json, sys, tracemalloc
-from indexcoding.graph import orbit_table
+import gc, json, sys, time, tracemalloc
+from indexcoding.confusion import build_confusion, chromatic_number
+from indexcoding.graph import digraph_from_key, orbit_table
 from indexcoding.verify import run_sweep, write_report
+start = time.perf_counter()
 for n in range(1, 6):
     orbit_table(n)
+orbit_ms = (time.perf_counter() - start) * 1e3
 tracemalloc.start()
 records = run_sweep(range(1, 6))
 assert len(records) == 9846 and all(r.line for r in records)
@@ -66,7 +74,21 @@ held = tracemalloc.get_traced_memory()[0]
 tracemalloc.reset_peak()
 write_report(records, sys.argv[1])
 peak = tracemalloc.get_traced_memory()[1] - held
-print(json.dumps({"records_held_mib": held / 2**20, "write_report_peak_mib": peak / 2**20}))
+tracemalloc.stop()
+gaps = [build_confusion(digraph_from_key(r.key)) for r in records if r.gap]
+assert len(gaps) == 28
+chi_ms = []
+for _ in range(5):
+    start = time.perf_counter()
+    for adj in gaps:
+        chromatic_number(adj)
+    chi_ms.append((time.perf_counter() - start) * 1e3)
+print(json.dumps({
+    "records_held_mib": held / 2**20,
+    "write_report_peak_mib": peak / 2**20,
+    "orbit_table_1_to_5_ms": orbit_ms,
+    "chi_28_gap_classes_ms": min(chi_ms),
+}))
 """
 LAYERS = {
     "records_held_mib": (
@@ -74,6 +96,11 @@ LAYERS = {
         " in MiB, in a fresh interpreter"
     ),
     "write_report_peak_mib": "tracemalloc peak of write_report on those records, above what they hold, in MiB",
+    "orbit_table_1_to_5_ms": "orbit_table(1..5) in a fresh interpreter, before any other work, in ms",
+    "chi_28_gap_classes_ms": (
+        "chromatic_number over the confusion graphs of the 28 gap classes, built beforehand, best of 5 passes"
+        " after the sweep with tracemalloc stopped, in ms"
+    ),
 }
 
 
@@ -201,17 +228,22 @@ def layer_section(rounds: dict[str, list[dict]]) -> dict:
 
 
 def tier1(side: Path) -> dict:
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    env = dict(os.environ, PYTHONPATH="src")
+    """The tier-1 suite of a clone, run as ROADMAP.md gives it, with src put
+    before any PYTHONPATH inherited; the command recorded is the one run,
+    with the driver's own interpreter written as python."""
+    pythonpath = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    args = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
-    proc = subprocess.run(command, cwd=side, env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=side, env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True
+    )
     wall = time.perf_counter() - start
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", proc.stdout)}
     return {
         "tests": counts.get("passed", 0),
         "failed": counts.get("failed", 0) + counts.get("error", 0),
         "wall_s": round(wall, 1),
-        "command": "PYTHONPATH=src python -m pytest -q",
+        "command": shlex.join([f"PYTHONPATH={pythonpath}", "python", *args]),
     }
 
 
