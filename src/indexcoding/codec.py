@@ -14,9 +14,9 @@ only tests and perfbench/traced.py use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
+from typing import NamedTuple
 
 from indexcoding.bounds import gf2_row_basis
 from indexcoding.confusion import _confusable
@@ -39,38 +39,56 @@ def bits_from_mask(mask: int, width: int) -> str:
     return "".join("1" if mask >> j & 1 else "0" for j in range(width))
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """Each output bit is the XOR of the messages selected by one row mask."""
-
+class _LinearCodeFields(NamedTuple):
     n_messages: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        full = (1 << self.n_messages) - 1
-        for row in self.rows:
+
+class LinearCode(_LinearCodeFields):
+    """Each output bit is the XOR of the messages selected by one row mask.
+    A named tuple, checked on construction (and by _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_messages: int, rows: tuple[int, ...]) -> LinearCode:
+        full = (1 << n_messages) - 1
+        for row in rows:
             if row & ~full:
                 raise ValueError("row mask references messages beyond n_messages")
+        return tuple.__new__(cls, (n_messages, rows))
+
+    @classmethod
+    def _make(cls, fields) -> LinearCode:
+        return cls(*fields)
 
     @property
     def length(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class GeneralCode:
-    """Arbitrary encoder given by its full table, indexed by message tuple."""
-
+class _GeneralCodeFields(NamedTuple):
     n_messages: int
     length: int
     table: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.table) != 1 << self.n_messages:
+
+class GeneralCode(_GeneralCodeFields):
+    """Arbitrary encoder given by its full table, indexed by message tuple.
+    A named tuple, checked on construction (and by _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_messages: int, length: int, table: tuple[int, ...]) -> GeneralCode:
+        if len(table) != 1 << n_messages:
             raise ValueError("table must cover every message tuple")
-        for cw in self.table:
-            if cw >> self.length:
+        for cw in table:
+            if cw >> length:
                 raise ValueError("codeword wider than the declared length")
+        return tuple.__new__(cls, (n_messages, length, table))
+
+    @classmethod
+    def _make(cls, fields) -> GeneralCode:
+        return cls(*fields)
 
 
 def linear_code_from_matrix(n: int, rows: tuple[int, ...] | list[int]) -> LinearCode:

@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from operator import itemgetter, or_
@@ -37,28 +36,37 @@ class GraphFormatError(ValueError):
     """Malformed graph description text."""
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Digraph on vertices 0..n-1; bit j of rows[i] is set iff arc i->j exists.
-
-    Row i doubles as the prior set of receiver i (the messages it already
-    knows).  The diagonal is always clear: no self-loops.
-    """
-
+class _DigraphFields(NamedTuple):
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_ENUM_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside supported range 1..{MAX_ENUM_VERTICES}")
-        if len(self.rows) != self.n:
+
+class Digraph(_DigraphFields):
+    """Digraph on vertices 0..n-1; bit j of rows[i] is set iff arc i->j exists.
+
+    Row i doubles as the prior set of receiver i (the messages it already
+    knows).  The diagonal is always clear: no self-loops.  A named tuple,
+    checked on construction (and by _replace, which builds through _make).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> Digraph:
+        if not 1 <= n <= MAX_ENUM_VERTICES:
+            raise ValueError(f"vertex count {n} outside supported range 1..{MAX_ENUM_VERTICES}")
+        if len(rows) != n:
             raise ValueError("row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"row {i} references vertices outside 0..{self.n - 1}")
+                raise ValueError(f"row {i} references vertices outside 0..{n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
+        return tuple.__new__(cls, (n, rows))
+
+    @classmethod
+    def _make(cls, fields) -> Digraph:
+        return cls(*fields)
 
     def _mutual_fields(self) -> int:
         """The rows and the columns, each packed as n-bit fields (field i at
@@ -116,6 +124,15 @@ def _token_arcs(n: int) -> dict[str, int]:
     return arcs
 
 
+def _number(digits: str) -> tuple[str, int]:
+    """An ASCII digit run spelled without its leading zeros, and its value.
+    A run still ten digits long or more is outside every vertex range and
+    reads as -1, so int() never meets one past its 4300-digit limit; error
+    messages quote the spelling, never str() of a value."""
+    digits = digits.lstrip("0") or "0"
+    return digits, int(digits) if len(digits) < 10 else -1
+
+
 def parse_digraph(text: str) -> Digraph:
     r"""Parse "n <N> [;] tok..." where tok is "a->b" (arc) or "a-b" (edge), 1-based;
     N, a and b are written in ASCII decimal digits.
@@ -138,9 +155,9 @@ def parse_digraph(text: str) -> Digraph:
     if len(tokens) < 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
         got = tokens[1] if len(tokens) > 1 else "<end>"
         raise GraphFormatError(f"token 2: expected vertex count, got {got!r}")
-    n = int(tokens[1])
+    count, n = _number(tokens[1])
     if not 1 <= n <= MAX_ENUM_VERTICES:
-        raise GraphFormatError(f"token 2: vertex count {n} outside supported range 1..{MAX_ENUM_VERTICES}")
+        raise GraphFormatError(f"token 2: vertex count {count} outside supported range 1..{MAX_ENUM_VERTICES}")
     first_pos = 4 if tokens[2:3] == [";"] else 3
     arcs = _token_arcs(n)
     packed = 0
@@ -149,9 +166,10 @@ def parse_digraph(text: str) -> Digraph:
             m = _TOKEN_RE.match(tok)
             if m is None:
                 raise GraphFormatError(f"token {pos}: malformed arc/edge token {tok!r}")
-            a, kind, b = int(m.group(1)), m.group(2), int(m.group(3))
-            for v in (a, b):
-                if not 1 <= v <= n:
+            a, kind, b = m.groups()
+            (a, a_value), (b, b_value) = _number(a), _number(b)
+            for v, value in ((a, a_value), (b, b_value)):
+                if not 1 <= value <= n:
                     raise GraphFormatError(f"token {pos}: vertex {v} outside 1..{n}")
             if a == b:
                 raise GraphFormatError(f"token {pos}: self-loop {tok!r}")

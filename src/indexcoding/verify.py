@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from indexcoding.bounds import gf2_row_basis, mais, minrank_witness
 from indexcoding.codec import serialize_code
@@ -39,7 +38,6 @@ REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,c
 _POOL_CHUNK = 64  # tasks a pool worker takes at a time
 
 
-@dataclass(frozen=True, slots=True)
 class VerificationRecord:
     """Everything measured about one isomorphism class.
 
@@ -52,10 +50,14 @@ class VerificationRecord:
     chromatic when the graph was colored, and mais when the bounds met.
 
     line is the record's report line, which a sweep also appends to its
-    cache log.  It is rendered once, at construction (so `replace` renders
-    it again), and it is not an argument: equality, hashing and repr ignore
-    it.  The record is slotted, so a full sweep holds no dict per record.
+    cache log.  It is rendered once, by the constructor, and it is not an
+    argument: equality, hashing and repr cover the six stored fields only.
+    The record is slotted, so a full sweep holds no dict per record, and
+    immutable, so line always matches the fields; a pickled record is
+    rebuilt from its fields, so it renders its line again.
     """
+
+    __slots__ = ("key", "edges", "mais", "category", "chromatic", "code", "line")
 
     key: CanonicalKey
     edges: int
@@ -63,28 +65,49 @@ class VerificationRecord:
     category: int
     chromatic: int
     code: tuple[int, ...]
-    line: str = field(init=False, repr=False, compare=False)
+    line: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
+    def __init__(
+        self, key: CanonicalKey, edges: int, mais: int, category: int, chromatic: int, code: tuple[int, ...]
+    ) -> None:
+        init = object.__setattr__
+        init(self, "key", key)
+        init(self, "edges", edges)
+        init(self, "mais", mais)
+        init(self, "category", category)
+        init(self, "chromatic", chromatic)
+        init(self, "code", code)
+        ell_star = self.ell_star
+        init(
             self,
             "line",
-            ",".join(
-                (
-                    self.key.hex,
-                    str(self.key.n),
-                    str(self.arcs),
-                    str(self.edges),
-                    str(self.mais),
-                    str(self.minrank),
-                    str(self.ell_star),
-                    "1" if self.gap else "0",
-                    str(self.category),
-                    str(self.chromatic),
-                    serialize_code(self.key.n, self.code),
-                )
-            ),
+            f"{key.hex},{key.n},{self.arcs},{edges},{mais},{self.minrank},{ell_star},{'1' if ell_star > mais else '0'},"
+            f"{category},{chromatic},{serialize_code(key.n, code)}",
         )
+
+    def _values(self) -> tuple:
+        return self.key, self.edges, self.mais, self.category, self.chromatic, self.code
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"VerificationRecord({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable VerificationRecord")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable VerificationRecord")
+
+    def __reduce__(self) -> tuple:
+        return VerificationRecord, self._values()
 
     @property
     def n(self) -> int:
@@ -107,8 +130,7 @@ class VerificationRecord:
         return self.ell_star > self.mais
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Per-order class counts plus the gap and violation accounting."""
 
     class_counts: tuple[tuple[int, int], ...]

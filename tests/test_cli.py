@@ -35,6 +35,18 @@ def test_cli_import_leaves_the_pool_module_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of a cold
+    # start's import time, which every CLI process pays
+    probe = (
+        "import sys, indexcoding.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_builds_no_parser():
     # the parser is built by the first main call, not at import
     probe = "import indexcoding.cli as cli; assert cli.build_parser.cache_info().currsize == 0, 'built'"

@@ -54,6 +54,15 @@ def test_code_validation():
         GeneralCode(2, 1, (0, 1, 0))
     with pytest.raises(ValueError):
         GeneralCode(2, 1, (0, 1, 2, 0))
+    # keyword construction and _replace are checked the same way
+    code = LinearCode(n_messages=2, rows=(0b11,))
+    assert code == LinearCode(2, (0b11,)) and code.length == 1
+    with pytest.raises(ValueError):
+        code._replace(rows=(0b100,))
+    table = GeneralCode(n_messages=1, length=1, table=(0, 1))
+    assert table._replace(table=(1, 0)) == GeneralCode(1, 1, (1, 0))
+    with pytest.raises(ValueError):
+        table._replace(length=0)
 
 
 def test_linear_code_from_matrix_length_is_rank():

@@ -169,6 +169,35 @@ def test_cli_exits_by_the_grammar_oracle_on_a_sample(capsys):
     capsys.readouterr()
 
 
+LONG_NUMBER_TEXTS = (
+    "n " + "1" * 5000,
+    "n " + "0" * 5000 + "3",
+    "n " + "0" * 5000 + "6",
+    "n 3 ; 1->" + "2" * 5000,
+    "n 3 ; " + "1" * 5000 + "-2",
+    "n 3 1-" + "0" * 5000 + "3 " + "0" * 5000 + "2->1",
+    "n 3 ; 2-" + "0" * 5000 + "2",
+)
+
+
+def test_numbers_past_the_int_digit_limit_follow_the_grammar_oracle(capsys):
+    # int() refuses more than 4300 digits; leading zeros still spell a
+    # small number, and a long one is an error at its token
+    for text in LONG_NUMBER_TEXTS:
+        expected = oracles.parse_graph_text(text)
+        status = cli.main(["classify", "--graph", text, "--format", "csv"])
+        err = capsys.readouterr().err
+        if isinstance(expected, tuple):
+            assert parse_digraph(text).rows == expected and status == 0
+            continue
+        with pytest.raises(GraphFormatError, match=f"^token {expected}: "):
+            parse_digraph(text)
+        assert status == 2 and err.startswith(f"error: token {expected}: ")
+    assert [isinstance(oracles.parse_graph_text(text), tuple) for text in LONG_NUMBER_TEXTS] == [
+        False, True, False, False, False, True, False,
+    ]
+
+
 def test_serialize_normal_form_and_roundtrip():
     g = parse_digraph(FIG_TEXT)
     assert serialize_digraph(g) == FIG_TEXT
@@ -191,6 +220,13 @@ def test_digraph_validation():
         Digraph(2, (0b100, 0))
     with pytest.raises(ValueError):
         Digraph(2, (0b01, 0))
+    # a named tuple built by keyword, or by _replace, is checked the same way
+    g = Digraph(n=2, rows=(0b10, 0))
+    assert g == Digraph(2, (0b10, 0)) and hash(g) == hash(Digraph(2, (0b10, 0)))
+    assert g._replace(rows=(0, 0b01)) == Digraph(2, (0, 0b01))
+    with pytest.raises(ValueError):
+        g._replace(rows=(0b01, 0))
+    assert not hasattr(g, "__dict__")
 
 
 def test_basic_accessors():

@@ -1,5 +1,6 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
+import copy
 import errno
 import hashlib
 import importlib.util
@@ -10,7 +11,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -49,6 +49,12 @@ from indexcoding.verify import (
 
 FIG = parse_digraph("n 4 ; 1-2 1-3 2-3 2->4 4->1")
 PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
+
+
+def rebuilt(record, **changes):
+    """The record with some stored fields changed, built by the constructor."""
+    fields = {name: getattr(record, name) for name in VerificationRecord.__slots__[:6]}
+    return VerificationRecord(**{**fields, **changes})
 
 
 def assert_one_sweep_ignores(cache, orders, cold, bad_lines):
@@ -150,7 +156,7 @@ def test_cached_and_fresh_reports_are_identical(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    # equality ignores line, which crosses the pool in the pickled record
+    # equality ignores line, which a pickled record renders again from its fields
     wide, serial = run_sweep([4], jobs=3), run_sweep([4])
     assert wide == serial
     assert [r.line for r in wide] == [r.line for r in serial]
@@ -162,15 +168,23 @@ def test_a_record_is_slotted_and_renders_its_line_once():
     assert "line" not in repr(r)
     assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
     # arcs and ell_star are read off key, mais and chromatic, not stored
-    assert [f.name for f in fields(r)] == ["key", "edges", "mais", "category", "chromatic", "code", "line"]
-    bumped = replace(r, chromatic=5)
+    assert VerificationRecord.__slots__ == ("key", "edges", "mais", "category", "chromatic", "code", "line")
+    bumped = rebuilt(r, chromatic=5)
     assert bumped.ell_star == 3
     assert bumped.line == edit_line(r.line, ell_star="3", gap="1", chromatic="5")
     assert bumped != r
-    assert replace(bumped, chromatic=0) == r and hash(replace(bumped, chromatic=0)) == hash(r)
-    # 3.10-3.12 raise ValueError, 3.13 TypeError
-    with pytest.raises((TypeError, ValueError)):
-        replace(r, line="0x0")
+    assert rebuilt(bumped, chromatic=0) == r and hash(rebuilt(bumped, chromatic=0)) == hash(r)
+    # line is no argument, and no field can be set or deleted afterwards
+    with pytest.raises(TypeError):
+        rebuilt(r, line="0x0")
+    for name in VerificationRecord.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(r, name, getattr(r, name))
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
+    # a copy is rebuilt from the stored fields, so it renders the same line
+    assert copy.copy(r) == r and copy.copy(r).line == r.line
 
 
 def test_verify_theorem_small_orders():
@@ -414,7 +428,7 @@ def test_check_lemma_small_orders():
     # a squeezed class (n = 4, mais 2) recorded as colored with 5 colors
     # claims 3 bits, above its mais
     squeezed = next(r for r in records if r.n == 4 and r.mais == 2)
-    assert not check_lemma_mais2([replace(squeezed, chromatic=5)])
+    assert not check_lemma_mais2([rebuilt(squeezed, chromatic=5)])
 
 
 def labeled_monotonicity(n):
@@ -462,7 +476,7 @@ def test_check_monotonicity_catches_a_lowered_record(full_records):
     empty = CanonicalKey(5, 0)
     assert next(r for r in full_records if r.key == empty).ell_star == 5
     # a record colored with 2 colors claims 1 bit
-    lowered = [replace(r, chromatic=2) if r.key == empty else r for r in full_records]
+    lowered = [rebuilt(r, chromatic=2) if r.key == empty else r for r in full_records]
     assert not check_monotonicity(5, lowered)
 
 
@@ -583,6 +597,7 @@ def test_a_sweep_holds_its_records_and_writes_its_report_in_little_memory(tmp_pa
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout)
     assert set(layers) == set(driver.LAYERS)
+    assert layers["import_cli_ms"] > 0
     assert layers["records_held_mib"] < 4.1
     assert layers["write_report_peak_mib"] < 0.5
     assert hashlib.sha256(report.read_bytes()).hexdigest() == "12956fe15c1a253e37f92269024f3823d129a261875a2d88afc62a00652e1782"

@@ -50,15 +50,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUARTILE_METHOD = "inclusive"
 
-# In a fresh interpreter: the time of building orbit_table(1..5); then the
-# memory a full sweep holds and the peak of writing its report to the path
-# in argv[1], traced with tracemalloc; then, with tracing stopped, the best
-# of 5 passes of chromatic_number over the confusion graphs of the sweep's
-# 28 gap classes.  The timings stay outside the traced window, so they do
-# not move the memory figures.  It prints one JSON object whose keys are
-# the names in LAYERS.
+# In a fresh interpreter: the time of `import indexcoding.cli`, before any
+# other module but sys and time is imported, so the CLI's imports are all
+# counted; the time of building orbit_table(1..5); then the memory a full
+# sweep holds and the peak of writing its report to the path in argv[1],
+# traced with tracemalloc; then, with tracing stopped, the best of 5 passes
+# of chromatic_number over the confusion graphs of the sweep's 28 gap
+# classes.  The timings stay outside the traced window, so they do not move
+# the memory figures.  It prints one JSON object whose keys are the names
+# in LAYERS.
 PROBE = """\
-import gc, json, sys, time, tracemalloc
+import sys, time
+start = time.perf_counter()
+import indexcoding.cli
+import_ms = (time.perf_counter() - start) * 1e3
+import gc, json, tracemalloc
 from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import digraph_from_key, orbit_table
 from indexcoding.verify import run_sweep, write_report
@@ -84,6 +90,7 @@ for _ in range(5):
         chromatic_number(adj)
     chi_ms.append((time.perf_counter() - start) * 1e3)
 print(json.dumps({
+    "import_cli_ms": import_ms,
     "records_held_mib": held / 2**20,
     "write_report_peak_mib": peak / 2**20,
     "orbit_table_1_to_5_ms": orbit_ms,
@@ -91,6 +98,7 @@ print(json.dumps({
 }))
 """
 LAYERS = {
+    "import_cli_ms": "import indexcoding.cli in a fresh interpreter, with only sys and time imported before it, in ms",
     "records_held_mib": (
         "tracemalloc bytes held after orbit_table(1..5), run_sweep(range(1, 6)) and every record's line read,"
         " in MiB, in a fresh interpreter"
