@@ -40,8 +40,8 @@ def stub_measurement(pairs):
     }
     env = {"src_sha256": "0" * 64, "nproc": 2, "python": "3.11.7"}
     metrics = {"correct": True, "failed": 0, "metrics": {"verify.analyze.calls": 9846}}
-    probe = {"import_cli_ms": 5.0, "records_held_mib": 3.7, "write_report_peak_mib": 0.16, "orbit_table_1_to_5_ms": 150.0,
-             "chi_28_gap_classes_ms": 40.0}
+    probe = {"import_cli_ms": 5.0, "records_held_mib": 3.7, "write_report_peak_mib": 0.16,
+             "orbit_table_1_to_5_ms": 150.0, "chi_28_gap_classes_ms": 40.0}
     return {
         "commits": {"parent": "a" * 40, "change": "b" * 40},
         "envs": {"parent": env, "change": env},
