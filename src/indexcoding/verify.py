@@ -38,7 +38,7 @@ REPORT_HEADER = "canonical_key,n,arcs,edges,mais,minrank,ell_star,gap,category,c
 _POOL_CHUNK = 64  # tasks a pool worker takes at a time
 
 
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Everything measured about one isomorphism class.
 
     The canonical key pins the class and decodes back to its representative,
@@ -49,15 +49,12 @@ class VerificationRecord:
     a record cannot disagree with itself: ell_star is the bit width of
     chromatic when the graph was colored, and mais when the bounds met.
 
-    line is the record's report line, which a sweep also appends to its
-    cache log.  It is rendered once, by the constructor, and it is not an
-    argument: equality, hashing and repr cover the six stored fields only.
-    The record is slotted, so a full sweep holds no dict per record, and
-    immutable, so line always matches the fields; a pickled record is
-    rebuilt from its fields, so it renders its line again.
+    The record is a named tuple of its six stored fields, so it is
+    immutable, holds no dict, compares equal to a plain tuple of those
+    fields and pickles as them.  line, the record's report line, which a
+    sweep also appends to its cache log, is rendered from the fields on
+    every read and never stored.
     """
-
-    __slots__ = ("key", "edges", "mais", "category", "chromatic", "code", "line")
 
     key: CanonicalKey
     edges: int
@@ -65,49 +62,15 @@ class VerificationRecord:
     category: int
     chromatic: int
     code: tuple[int, ...]
-    line: str
 
-    def __init__(
-        self, key: CanonicalKey, edges: int, mais: int, category: int, chromatic: int, code: tuple[int, ...]
-    ) -> None:
-        init = object.__setattr__
-        init(self, "key", key)
-        init(self, "edges", edges)
-        init(self, "mais", mais)
-        init(self, "category", category)
-        init(self, "chromatic", chromatic)
-        init(self, "code", code)
-        ell_star = self.ell_star
-        init(
-            self,
-            "line",
-            f"{key.hex},{key.n},{self.arcs},{edges},{mais},{self.minrank},{ell_star},{'1' if ell_star > mais else '0'},"
-            f"{category},{chromatic},{serialize_code(key.n, code)}",
+    @property
+    def line(self) -> str:
+        (n, bits), edges, mais, category, chromatic, code = self
+        ell_star = (chromatic - 1).bit_length() if chromatic else mais
+        return (
+            f"0x{bits:x},{n},{bits.bit_count()},{edges},{mais},{len(code)},{ell_star},"
+            f"{'1' if ell_star > mais else '0'},{category},{chromatic},{serialize_code(n, code)}"
         )
-
-    def _values(self) -> tuple:
-        return self.key, self.edges, self.mais, self.category, self.chromatic, self.code
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"VerificationRecord({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable VerificationRecord")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable VerificationRecord")
-
-    def __reduce__(self) -> tuple:
-        return VerificationRecord, self._values()
 
     @property
     def n(self) -> int:
@@ -164,12 +127,12 @@ def analyze(g: Digraph, *, key: CanonicalKey | None = None) -> VerificationRecor
     lo = mais(g)
     code = tuple(gf2_row_basis(minrank_witness(g, lo)[1]))
     return VerificationRecord(
-        key=key,
-        edges=g.edge_count(),
-        mais=lo,
-        category=int(categorize(g)) if g.n == 5 and lo == 2 else 0,
-        chromatic=0 if lo == len(code) else chromatic_number(build_confusion(g)),
-        code=code,
+        key,
+        g.edge_count(),
+        lo,
+        int(categorize(g)) if g.n == 5 and lo == 2 else 0,
+        0 if lo == len(code) else chromatic_number(build_confusion(g)),
+        code,
     )
 
 

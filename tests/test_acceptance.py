@@ -5,7 +5,9 @@ values are confirmed against the independent oracles, never against the
 modules under test alone.
 """
 
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, permutations, product
+from math import factorial
 
 import oracles
 from indexcoding.bounds import mais
@@ -30,7 +32,25 @@ from indexcoding.verify import (
     write_report,
 )
 
-EXPECTED_CLASS_COUNTS = {1: 1, 2: 3, 3: 16, 4: 218, 5: 9608}
+
+def burnside_class_count(n):
+    """Digraphs on n vertices up to isomorphism, by Burnside's lemma: the
+    mean over permutations pi of 2^c(pi), where c(pi) is the number of
+    cycles pi makes on the ordered pairs (i, j), i != j."""
+    total = 0
+    for perm in permutations(range(n)):
+        seen, cycles = set(), 0
+        for pair in ((i, j) for i in range(n) for j in range(n) if i != j):
+            if pair not in seen:
+                cycles += 1
+                while pair not in seen:
+                    seen.add(pair)
+                    pair = (perm[pair[0]], perm[pair[1]])
+        total += 2**cycles
+    return total // factorial(n)
+
+
+EXPECTED_CLASS_COUNTS = {n: burnside_class_count(n) for n in range(1, 6)}
 PENTAGON_TEXT = "n 5 ; 1-3 3-5 5-2 2-4 4-1"
 FIG_TEXT = "n 4 ; 1-2 1-3 2-3 2->4 4->1"
 
@@ -54,6 +74,76 @@ def test_criterion_01_enumeration_counts_match_oracle_partition():
             assert len(class_keys) == 1  # one key per oracle class
             keys |= class_keys
         assert len(keys) == EXPECTED_CLASS_COUNTS[n]  # distinct across classes
+
+
+def vertex_signatures(n, rows):
+    """An isomorphism invariant: the sorted signatures of the vertices.  A
+    vertex's signature is its degree, then the sorted degrees of its out-
+    and then of its in-neighbours, where a degree is the out-, in- and
+    mutual degree read as one base-n number; the two lists are as long as
+    the vertex's out- and in-degree, so the flat tuple is unambiguous."""
+    ins = [0] * n
+    for u, row in enumerate(rows):
+        for v in range(n):
+            if row >> v & 1:
+                ins[v] |= 1 << u
+    degrees = [(row.bit_count() * n + col.bit_count()) * n + (row & col).bit_count() for row, col in zip(rows, ins)]
+    signatures = []
+    for v in range(n):
+        outs, into = [], []
+        for u in range(n):
+            if rows[v] >> u & 1:
+                outs.append(degrees[u])
+            if ins[v] >> u & 1:
+                into.append(degrees[u])
+        signatures.append((degrees[v], *sorted(outs), *sorted(into)))
+    return tuple(sorted(signatures))
+
+
+@cache
+def decoded_class(line):
+    """The order, vertex signatures and rows of the graph a report line's key names."""
+    key, n = line.split(",", 2)[:2]
+    n = int(n)
+    rows = oracles.rows_from_key(n, int(key, 16))
+    return n, vertex_signatures(n, rows), rows
+
+
+def lists_every_class_once(lines):
+    """True iff the report lines name, per order n, as many keys as
+    Burnside's lemma counts classes, and no two of them name isomorphic
+    graphs: graphs with distinct vertex signatures are not isomorphic, and
+    the few that share one are told apart by the oracle."""
+    buckets = {}
+    counts = dict.fromkeys(EXPECTED_CLASS_COUNTS, 0)
+    for n, signatures, rows in map(decoded_class, lines):
+        counts[n] += 1
+        buckets.setdefault((n, signatures), []).append(rows)
+    return counts == EXPECTED_CLASS_COUNTS and not any(
+        oracles.isomorphic(n, a, b) for (n, _), graphs in buckets.items() for a, b in combinations(graphs, 2)
+    )
+
+
+def test_criterion_01_every_report_key_is_a_distinct_class_by_burnside(full_records):
+    # the computed counts are OEIS A000273's, which 9847 extends by the empty instance
+    assert list(EXPECTED_CLASS_COUNTS.values()) == [1, 3, 16, 218, 9608]
+    lines = report_text(full_records).splitlines()[1:]
+    assert lists_every_class_once(lines)
+    # each mutant breaks it: a dropped line; a line renamed to a relabeling
+    # of another line's class; a class listed twice in place of another
+    core = next(i for i, line in enumerate(lines) if line.startswith("0x356ac,"))
+    other = core + 1
+    assert lines[other].split(",")[1] == "5"
+    rows = oracles.relabel(5, oracles.rows_from_key(5, 0x356AC), (1, 2, 3, 4, 0))
+    bits = "".join(str(rows[i] >> j & 1) for i in range(5) for j in range(5) if i != j)
+    assert int(bits, 2) != 0x356AC
+    renamed = lines[other].replace(lines[other].split(",")[0], hex(int(bits, 2)), 1)
+    for mutant in (
+        lines[:core] + lines[core + 1 :],
+        lines[:other] + [renamed] + lines[other + 1 :],
+        lines[:other] + [lines[core]] + lines[other + 1 :],
+    ):
+        assert not lists_every_class_once(mutant)
 
 
 def test_criterion_02_optimal_length_equals_minrank_on_all_9846_classes(full_records):

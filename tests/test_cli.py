@@ -356,6 +356,22 @@ def test_find_code_pentagon_csv(capsys):
     assert code.length == 3
 
 
+def test_find_code_renders_no_report_line(monkeypatch, capsys):
+    # find-code prints the code through cli's own serialize_code; the record
+    # renders its report line only when line is read, which find-code never does
+    serialize_code = verify.serialize_code
+    calls = []
+
+    def counted(n, rows):
+        calls.append(rows)
+        return serialize_code(n, rows)
+
+    monkeypatch.setattr(verify, "serialize_code", counted)
+    assert main(["find-code", "--graph", PENTAGON_TEXT, "--format", "csv"]) == 0
+    assert parse_code(capsys.readouterr().out.strip()).length == 3
+    assert calls == []
+
+
 def test_verify_small(capsys):
     assert main(["verify", "--max-n", "3"]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -52,9 +53,8 @@ PENTAGON = parse_digraph("n 5 ; 1-3 3-5 5-2 2-4 4-1")
 
 
 def rebuilt(record, **changes):
-    """The record with some stored fields changed, built by the constructor."""
-    fields = {name: getattr(record, name) for name in VerificationRecord.__slots__[:6]}
-    return VerificationRecord(**{**fields, **changes})
+    """The record with some stored fields changed."""
+    return record._replace(**changes)
 
 
 def assert_one_sweep_ignores(cache, orders, cold, bad_lines):
@@ -156,35 +156,31 @@ def test_cached_and_fresh_reports_are_identical(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    # equality ignores line, which a pickled record renders again from its fields
+    # a pickled record travels as its six fields and renders its line on reading
     wide, serial = run_sweep([4], jobs=3), run_sweep([4])
     assert wide == serial
     assert [r.line for r in wide] == [r.line for r in serial]
 
 
-def test_a_record_is_slotted_and_renders_its_line_once():
+def test_a_record_is_a_named_tuple_that_renders_its_line_from_its_fields():
     r = analyze(FIG)
+    # arcs, minrank, ell_star, gap and line are read off the fields, not stored
+    assert VerificationRecord._fields == ("key", "edges", "mais", "category", "chromatic", "code")
     assert not hasattr(r, "__dict__")
-    assert "line" not in repr(r)
-    assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
-    # arcs and ell_star are read off key, mais and chromatic, not stored
-    assert VerificationRecord.__slots__ == ("key", "edges", "mais", "category", "chromatic", "code", "line")
-    bumped = rebuilt(r, chromatic=5)
-    assert bumped.ell_star == 3
-    assert bumped.line == edit_line(r.line, ell_star="3", gap="1", chromatic="5")
-    assert bumped != r
-    assert rebuilt(bumped, chromatic=0) == r and hash(rebuilt(bumped, chromatic=0)) == hash(r)
-    # line is no argument, and no field can be set or deleted afterwards
-    with pytest.raises(TypeError):
-        rebuilt(r, line="0x0")
-    for name in VerificationRecord.__slots__:
+    for name in VerificationRecord._fields:
         with pytest.raises(AttributeError):
             setattr(r, name, getattr(r, name))
         with pytest.raises(AttributeError):
             delattr(r, name)
     assert r.line == "0x2fb,4,8,3,2,2,2,0,0,0,1110;0111"
-    # a copy is rebuilt from the stored fields, so it renders the same line
-    assert copy.copy(r) == r and copy.copy(r).line == r.line
+    bumped = rebuilt(r, chromatic=5)
+    assert bumped.ell_star == 3
+    assert bumped.line == edit_line(r.line, ell_star="3", gap="1", chromatic="5")
+    assert bumped != r
+    assert rebuilt(bumped, chromatic=0) == r and hash(rebuilt(bumped, chromatic=0)) == hash(r)
+    assert r == tuple(r)
+    for twin in (copy.copy(r), pickle.loads(pickle.dumps(r))):
+        assert twin == r and twin.line == r.line
 
 
 def test_verify_theorem_small_orders():

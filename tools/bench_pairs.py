@@ -55,10 +55,11 @@ QUARTILE_METHOD = "inclusive"
 # counted; the time of building orbit_table(1..5); then the memory a full
 # sweep holds and the peak of writing its report to the path in argv[1],
 # traced with tracemalloc; then, with tracing stopped, the best of 5 passes
-# of chromatic_number over the confusion graphs of the sweep's 28 gap
-# classes.  The timings stay outside the traced window, so they do not move
-# the memory figures.  It prints one JSON object whose keys are the names
-# in LAYERS.
+# of analyze over the 9608 five-vertex classes, and the best of 5 passes of
+# chromatic_number over the confusion graphs of the sweep's 28 gap classes.
+# The timings stay outside the traced window, so they do not move the
+# memory figures.  It prints one JSON object whose keys are the names in
+# LAYERS.
 PROBE = """\
 import sys, time
 start = time.perf_counter()
@@ -67,7 +68,7 @@ import_ms = (time.perf_counter() - start) * 1e3
 import gc, json, tracemalloc
 from indexcoding.confusion import build_confusion, chromatic_number
 from indexcoding.graph import digraph_from_key, orbit_table
-from indexcoding.verify import run_sweep, write_report
+from indexcoding.verify import analyze, run_sweep, write_report
 start = time.perf_counter()
 for n in range(1, 6):
     orbit_table(n)
@@ -81,6 +82,14 @@ tracemalloc.reset_peak()
 write_report(records, sys.argv[1])
 peak = tracemalloc.get_traced_memory()[1] - held
 tracemalloc.stop()
+keys = [r.key for r in records if r.n == 5]
+assert len(keys) == 9608
+analyze_us = []
+for _ in range(5):
+    start = time.perf_counter()
+    for key in keys:
+        analyze(digraph_from_key(key))
+    analyze_us.append((time.perf_counter() - start) * 1e6 / len(keys))
 gaps = [build_confusion(digraph_from_key(r.key)) for r in records if r.gap]
 assert len(gaps) == 28
 chi_ms = []
@@ -95,6 +104,7 @@ print(json.dumps({
     "write_report_peak_mib": peak / 2**20,
     "orbit_table_1_to_5_ms": orbit_ms,
     "chi_28_gap_classes_ms": min(chi_ms),
+    "analyze_us": min(analyze_us),
 }))
 """
 LAYERS = {
@@ -108,6 +118,10 @@ LAYERS = {
     "chi_28_gap_classes_ms": (
         "chromatic_number over the confusion graphs of the 28 gap classes, built beforehand, best of 5 passes"
         " after the sweep with tracemalloc stopped, in ms"
+    ),
+    "analyze_us": (
+        "mean analyze(digraph_from_key(k)) call over the 9608 five-vertex keys, best of 5 passes after the sweep"
+        " with tracemalloc stopped, in microseconds"
     ),
 }
 
