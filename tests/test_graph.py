@@ -9,8 +9,9 @@ from operator import or_
 
 import pytest
 
+import indexcoding.cli as cli
+import indexcoding.graph as graph
 import oracles
-from indexcoding import cli, graph
 from indexcoding.graph import (
     CanonicalKey,
     Category,

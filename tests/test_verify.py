@@ -1,5 +1,6 @@
 """Sweep harness: records, caching, summaries, claim checks."""
 
+import ast
 import copy
 import errno
 import hashlib
@@ -578,21 +579,33 @@ def test_write_report_failure_keeps_the_old_report(tmp_path, monkeypatch):
 
 
 def test_a_sweep_holds_its_records_and_writes_its_report_in_little_memory(tmp_path):
-    # the layer probe of tools/bench_pairs.py, in a fresh interpreter: the
-    # 9846 records with their lines are held in slots, and the report is
-    # streamed to its file, not joined into one text and encoded
+    # the memory part of tools/bench_pairs.py's layer probe, in a fresh
+    # interpreter: the 9846 records are named tuples that hold no rendered
+    # line, and the report is streamed to its file, not joined into one text
+    # and encoded.  The probe's timing passes are the driver's to run.
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("bench_pairs", root / "tools" / "bench_pairs.py")
     driver = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(driver)
+    assert driver.PROBE == driver.PROBE_MEMORY + driver.PROBE_TIMING
+    # the keys the whole probe prints, read off its json.dumps({...}) literal
+    (printed,) = (
+        node.args[0]
+        for node in ast.walk(ast.parse(driver.PROBE))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps"
+    )
+    assert {key.value for key in printed.keys} == set(driver.LAYERS)
     env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
     report = tmp_path / "report.csv"
+    memory_part = driver.PROBE_MEMORY + (
+        'print(json.dumps({"import_cli_ms": import_ms, "records_held_mib": held / 2**20,'
+        ' "write_report_peak_mib": peak / 2**20}))\n'
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", driver.PROBE, str(report)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", memory_part, str(report)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout)
-    assert set(layers) == set(driver.LAYERS)
     assert layers["import_cli_ms"] > 0
     assert layers["records_held_mib"] < 4.1
     assert layers["write_report_peak_mib"] < 0.5

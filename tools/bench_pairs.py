@@ -50,17 +50,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUARTILE_METHOD = "inclusive"
 
-# In a fresh interpreter: the time of `import indexcoding.cli`, before any
-# other module but sys and time is imported, so the CLI's imports are all
-# counted; the time of building orbit_table(1..5); then the memory a full
-# sweep holds and the peak of writing its report to the path in argv[1],
-# traced with tracemalloc; then, with tracing stopped, the best of 5 passes
-# of analyze over the 9608 five-vertex classes, and the best of 5 passes of
-# chromatic_number over the confusion graphs of the sweep's 28 gap classes.
-# The timings stay outside the traced window, so they do not move the
-# memory figures.  It prints one JSON object whose keys are the names in
-# LAYERS.
-PROBE = """\
+# PROBE runs in a fresh interpreter and prints one JSON object whose keys
+# are the names in LAYERS.  Its memory part times `import indexcoding.cli`,
+# before any other module but sys and time is imported, so the CLI's imports
+# are all counted, and the building of orbit_table(1..5); then it traces with
+# tracemalloc the memory a full sweep holds and the peak of writing its
+# report to the path in argv[1].  Its timing part, with tracing stopped,
+# takes the best of 5 passes of analyze over the 9608 five-vertex classes and
+# the best of 5 passes of chromatic_number over the confusion graphs of the
+# sweep's 28 gap classes, so the timings do not move the memory figures, and
+# prints the object.
+PROBE_MEMORY = """\
 import sys, time
 start = time.perf_counter()
 import indexcoding.cli
@@ -82,6 +82,8 @@ tracemalloc.reset_peak()
 write_report(records, sys.argv[1])
 peak = tracemalloc.get_traced_memory()[1] - held
 tracemalloc.stop()
+"""
+PROBE_TIMING = """\
 keys = [r.key for r in records if r.n == 5]
 assert len(keys) == 9608
 analyze_us = []
@@ -107,6 +109,7 @@ print(json.dumps({
     "analyze_us": min(analyze_us),
 }))
 """
+PROBE = PROBE_MEMORY + PROBE_TIMING
 LAYERS = {
     "import_cli_ms": "import indexcoding.cli in a fresh interpreter, with only sys and time imported before it, in ms",
     "records_held_mib": (
